@@ -11,13 +11,13 @@
 #include <cstring>
 
 #include "array/gf256.h"
+#include "array/parity.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -129,7 +129,9 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
                          const EngineConfig &cfg)
     : ZonedArray(loop, std::move(devs),
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
-                           &stats_.dev_errors, &stats_.spares_promoted}),
+                           &stats_.dev_errors, &stats_.spares_promoted,
+                           &stats_.auto_failovers,
+                           &stats_.rebuild_throttle_stalls}),
       cfg_(cfg)
 {
     const DeviceGeometry &g = devs_[0]->geometry();
@@ -169,6 +171,7 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
     zone_rebuilt_.assign(nzones_, false);
     zones_.resize(nzones_);
     for (EZone &ez : zones_) {
+        ez.crc = SectorCrcCatalog(zone_cap_);
         ez.kind = fixed_kind();
         ez.kind_decided = cfg_.mode != RaidMode::kAuto;
     }
@@ -316,12 +319,6 @@ bool
 ZonedEngine::zone_finished(uint32_t zone) const
 {
     return zones_[zone].finished;
-}
-
-uint64_t
-ZonedEngine::zone_participants(uint32_t zone) const
-{
-    return zones_[zone].participants;
 }
 
 uint32_t
@@ -920,7 +917,7 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
         }
     }
     if (store)
-        note_written_crcs(zone, off, data->data(), nsectors);
+        zones_[zone].crc.note(off, data->data(), nsectors);
     ctx->issued_all = true;
     if (ctx->pending == 0)
         finish_write(ctx);
@@ -1038,15 +1035,9 @@ ZonedEngine::finish_write(std::shared_ptr<WriteCtx> ctx)
     auto ack = [this, ctx](Status s) {
         IoResult r;
         r.status = std::move(s);
-        if (write_lat_ != nullptr)
-            write_lat_->record(loop_->now() - ctx->t0);
-        if (ledger_ != nullptr && r.status.is_ok() &&
-            ctx->flags.origin == obs::Cause::kUserData)
-            ledger_->note_user_write(ctx->nsectors);
-        if (trace_ != nullptr && ctx->total_token != 0) {
-            trace_->end_span(ctx->total_token, loop_->now());
-            ctx->total_token = 0;
-        }
+        const bool user = r.status.is_ok() &&
+            ctx->flags.origin == obs::Cause::kUserData;
+        note_write_ack(ctx->t0, ctx->total_token, user ? ctx->nsectors : 0);
         ctx->cb(std::move(r));
     };
     if (!ctx->status.is_ok()) {
@@ -1062,23 +1053,6 @@ ZonedEngine::finish_write(std::shared_ptr<WriteCtx> ctx)
         return;
     }
     loop_->schedule_after(1, [ack] { ack(Status::ok()); });
-}
-
-void
-ZonedEngine::note_written_crcs(uint32_t zone, uint64_t off,
-                               const uint8_t *bytes, uint32_t nsectors)
-{
-    EZone &z = zones_[zone];
-    if (z.crcs.empty()) {
-        z.crcs.assign(zone_cap_, 0);
-        z.crc_valid.assign(zone_cap_, false);
-    }
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        z.crcs[off + i] =
-            crc32c(bytes + static_cast<size_t>(i) * kSectorSize,
-                   kSectorSize);
-        z.crc_valid[off + i] = true;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1182,8 +1156,7 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
                     ez.finish_pending = false;
                     ez.frozen = false;
                     ez.tails.clear();
-                    ez.crcs.clear();
-                    ez.crc_valid.clear();
+                    ez.crc.clear();
                     ez.rec_fill.clear();
                     ez.participants = parts;
                     ez.kind = fixed_kind();
@@ -1401,13 +1374,6 @@ ZonedEngine::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     PROF_SCOPE("eng.read");
     ++stats_.logical_reads;
     stats_.sectors_read += nsectors;
-    if (ledger_ != nullptr) {
-        cb = [this, nsectors, inner = std::move(cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_read(nsectors);
-            inner(std::move(r));
-        };
-    }
     if (nsectors == 0 || lba + nsectors > capacity()) {
         loop_->schedule_after(1, [cb = std::move(cb)] {
             IoResult r;
@@ -1448,7 +1414,8 @@ ZonedEngine::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     agg->pending = static_cast<uint32_t>(segs.size());
     for (size_t i = 0; i < segs.size(); ++i) {
         read_segment(segs[i].zone, segs[i].off, segs[i].len,
-                     [this, agg, i](Status s, std::vector<uint8_t> d) {
+                     [this, agg, i, nsectors](Status s,
+                                              std::vector<uint8_t> d) {
                          if (!s.is_ok() && agg->status.is_ok())
                              agg->status = s;
                          agg->parts[i] = std::move(d);
@@ -1461,8 +1428,8 @@ ZonedEngine::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
                                  r.data.insert(r.data.end(), p.begin(),
                                                p.end());
                          }
-                         if (read_lat_ != nullptr)
-                             read_lat_->record(loop_->now() - agg->t0);
+                         note_read_ack(agg->t0, 0,
+                                       r.status.is_ok() ? nsectors : 0);
                          agg->cb(std::move(r));
                      });
     }
@@ -1590,8 +1557,7 @@ ZonedEngine::read_mirror(uint32_t zone, uint64_t off, uint32_t len,
                             std::move(cb));
                 return;
             }
-            if (store_data_ &&
-                !crc_range_ok(zone, off, r.data.data(), len)) {
+            if (!zones_[zone].crc.range_ok(off, r.data.data(), len)) {
                 ++stats_.crc_mismatches;
                 if (idx + 1 < srcs->size()) {
                     ++stats_.read_repairs;
@@ -1693,9 +1659,8 @@ ZonedEngine::read_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
                              (*self)(idx + 1);
                              return;
                          }
-                         if (store_data_ &&
-                             !crc_range_ok(zone, crc_off, r.data.data(),
-                                           n)) {
+                         if (!zones_[zone].crc.range_ok(
+                                 crc_off, r.data.data(), n)) {
                              ++stats_.crc_mismatches;
                              (*self)(idx + 1);
                              return;
@@ -1800,7 +1765,7 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
         }
         uint64_t crc_off = stripe * su * static_cast<uint64_t>(units) +
                            static_cast<uint64_t>(u) * su + o;
-        if (!crc_range_ok(zone, crc_off, res.data(), n)) {
+        if (!zones_[zone].crc.range_ok(crc_off, res.data(), n)) {
             ++stats_.crc_mismatches;
             (*shared_cb)(Status(StatusCode::kCorruption,
                                 "reconstructed data failed checksum"),
@@ -1872,25 +1837,6 @@ void
 ZonedEngine::link_stats_hook(obs::MetricsRegistry &reg)
 {
     obs::link_stats(reg, metric_prefix(), stats_);
-}
-
-bool
-ZonedEngine::crc_range_ok(uint32_t zone, uint64_t off,
-                          const uint8_t *bytes, uint32_t nsectors) const
-{
-    if (!store_data_)
-        return true;
-    const EZone &z = zones_[zone];
-    if (z.crcs.empty())
-        return true;
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        if (!z.crc_valid[off + i])
-            continue;
-        if (crc32c(bytes + static_cast<size_t>(i) * kSectorSize,
-                   kSectorSize) != z.crcs[off + i])
-            return false;
-    }
-    return true;
 }
 
 } // namespace raizn

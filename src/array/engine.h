@@ -31,6 +31,7 @@
 #include <set>
 #include <vector>
 
+#include "array/crc_catalog.h"
 #include "array/zoned_array.h"
 
 namespace raizn {
@@ -68,6 +69,7 @@ struct EngineStats {
     uint64_t auto_failovers = 0; ///< health-driven failovers started
     uint64_t spares_promoted = 0;
     uint64_t zones_rebuilt = 0;
+    uint64_t rebuild_throttle_stalls = 0; ///< rebuild IOs delayed
     uint64_t auto_mirror_zones = 0; ///< auto-mode hot (mirror) decisions
     uint64_t auto_parity_zones = 0; ///< auto-mode cold (parity) decisions
 
@@ -98,6 +100,7 @@ struct EngineStats {
         fn("auto_failovers", auto_failovers);
         fn("spares_promoted", spares_promoted);
         fn("zones_rebuilt", zones_rebuilt);
+        fn("rebuild_throttle_stalls", rebuild_throttle_stalls);
         fn("auto_mirror_zones", auto_mirror_zones);
         fn("auto_parity_zones", auto_parity_zones);
     }
@@ -175,15 +178,6 @@ class ZonedEngine : public ZonedArray
                         StatusCb done) override;
     Status scrub_all(ScrubReport *report = nullptr) override;
 
-    /// Same shape as RaiznVolume::LifecycleConfig: promote the spare
-    /// and rebuild automatically when the health monitor fails a
-    /// device.
-    struct LifecycleConfig {
-        bool auto_rebuild = true;
-        std::function<void(uint32_t dev, Status s)> on_rebuild_done;
-    };
-    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
-
     // ---- Introspection (crash oracle + tests) ----------------------
     const EngineStats &stats() const { return stats_; }
     const EngineConfig &config() const { return cfg_; }
@@ -195,8 +189,6 @@ class ZonedEngine : public ZonedArray
     uint64_t zone_gen(uint32_t zone) const;
     bool zone_frozen(uint32_t zone) const;
     bool zone_finished(uint32_t zone) const;
-    /// Trusted-member bitmap for `zone` (mirror staleness tracking).
-    uint64_t zone_participants(uint32_t zone) const;
     /// Data stripe units per stripe for `zone`'s kind.
     uint32_t data_units(uint32_t zone) const;
     /// Member holding data unit `u` of stripe `stripe` (mirror kinds:
@@ -223,6 +215,11 @@ class ZonedEngine : public ZonedArray
     bool is_marked_failed(uint32_t dev) const override
     {
         return failed_devs_[dev];
+    }
+    /// One rebuild at a time: a failure during a rebuild waits.
+    bool failover_ready(uint32_t dev) const override
+    {
+        return failed_devs_[dev] && !rebuilding_;
     }
 
   private:
@@ -281,8 +278,7 @@ class ZonedEngine : public ZonedArray
         /// a rebuild re-joins them.
         uint64_t participants = ~0ull;
         std::map<uint64_t, TailBuf> tails; ///< by stripe index
-        std::vector<uint32_t> crcs; ///< per logical sector (store mode)
-        std::vector<bool> crc_valid;
+        SectorCrcCatalog crc; ///< per logical sector (store mode)
         /// Mount only: per-member recovered extent — logical sectors
         /// for mirror kinds, physical rows otherwise.
         std::vector<uint64_t> rec_fill;
@@ -348,8 +344,6 @@ class ZonedEngine : public ZonedArray
     void chunk_done(std::shared_ptr<WriteCtx> ctx, uint32_t dev,
                     const Status &s);
     void finish_write(std::shared_ptr<WriteCtx> ctx);
-    void note_written_crcs(uint32_t zone, uint64_t off,
-                           const uint8_t *bytes, uint32_t nsectors);
 
     // engine.cc — read path
     using DataCb = std::function<void(Status, std::vector<uint8_t>)>;
@@ -367,8 +361,6 @@ class ZonedEngine : public ZonedArray
                     uint64_t o, uint32_t n, DataCb cb);
     void reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
                            uint64_t o, uint32_t n, DataCb cb);
-    bool crc_range_ok(uint32_t zone, uint64_t off, const uint8_t *bytes,
-                      uint32_t nsectors) const;
     /// Members holding a replica of data unit `u` (placement only, no
     /// liveness filtering).
     std::vector<uint32_t> unit_devs(uint32_t zone, uint64_t stripe,
@@ -383,13 +375,17 @@ class ZonedEngine : public ZonedArray
     Status replay_wal();
     Status recover_zone(uint32_t zone);
     void rebuild_zone(uint32_t zone);
+    /// Submits one rebuild command, tagged "eng.rebuild" / kRebuild.
+    void rebuild_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
+                        IoCallback cb);
+    /// Ends one zone's copy: a finished zone is finished on the target.
+    void finish_target_zone(uint32_t zone, StatusCb done);
     void rebuild_mirror_rows(uint32_t zone, uint64_t row, uint64_t limit,
                              uint32_t src, StatusCb done);
     void rebuild_stripe_from(uint32_t zone, uint64_t stripe,
                              uint64_t limit, StatusCb done);
     void copy_wal_to_target(StatusCb done);
     void finish_rebuild(Status s);
-    void maybe_start_auto_rebuild(uint32_t dev);
     Status scrub_zone(uint32_t zone, ScrubReport *rep);
 
     EngineConfig cfg_;
@@ -425,7 +421,6 @@ class ZonedEngine : public ZonedArray
     ProgressCb rebuild_progress_;
     StatusCb rebuild_done_;
     uint64_t rebuild_wal_copied_ = 0;
-    LifecycleConfig lifecycle_;
 };
 
 } // namespace raizn

@@ -10,9 +10,8 @@
 #include <cstring>
 
 #include "array/gf256.h"
-#include "common/crc32.h"
+#include "array/parity.h"
 #include "common/logging.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -322,23 +321,20 @@ void
 ZonedEngine::rebuild_device(uint32_t dev, ProgressCb progress,
                             StatusCb done)
 {
-    auto reject = [this, &done](Status s) {
-        loop_->schedule_after(1,
-                              [done = std::move(done), s = std::move(s)] {
-                                  if (done)
-                                      done(s);
-                              });
-    };
     if (dev >= num_devices()) {
-        reject(Status(StatusCode::kInvalidArgument,
-                      "device index out of range"));
+        complete_later(std::move(done),
+                       Status(StatusCode::kInvalidArgument,
+                              "device index out of range"));
         return;
     }
     if (rebuilding_) {
-        reject(Status(StatusCode::kBusy, "rebuild already in progress"));
+        complete_later(std::move(done),
+                       Status(StatusCode::kBusy,
+                              "rebuild already in progress"));
         return;
     }
     rebuilding_ = true;
+    pacer_begin();
     rebuild_dev_ = static_cast<int>(dev);
     rebuild_progress_ = std::move(progress);
     rebuild_done_ = std::move(done);
@@ -354,26 +350,24 @@ ZonedEngine::rebuild_device(uint32_t dev, ProgressCb progress,
         zones_[z].participants &= ~bit(dev);
     LOG_INFO("%s: rebuilding member %u", metric_prefix().c_str(), dev);
     IoRequest rst = IoRequest::zone_reset(0);
-    rst.trace_stage = "eng.rebuild";
-    rst.cause = obs::Cause::kRebuild;
-    chain_submit(dev, 0, std::move(rst),
-                 [this, alive = alive_](IoResult r) {
-                     if (!*alive)
-                         return;
-                     if (!r.status.is_ok()) {
-                         finish_rebuild(r.status);
-                         return;
-                     }
-                     copy_wal_to_target([this, alive](Status s) {
-                         if (!*alive)
-                             return;
-                         if (!s.is_ok()) {
-                             finish_rebuild(s);
-                             return;
-                         }
-                         rebuild_zone(0);
-                     });
-                 });
+    rebuild_submit(dev, 0, std::move(rst),
+                   [this, alive = alive_](IoResult r) {
+                       if (!*alive)
+                           return;
+                       if (!r.status.is_ok()) {
+                           finish_rebuild(r.status);
+                           return;
+                       }
+                       copy_wal_to_target([this, alive](Status s) {
+                           if (!*alive)
+                               return;
+                           if (!s.is_ok()) {
+                               finish_rebuild(s);
+                               return;
+                           }
+                           rebuild_zone(0);
+                       });
+                   });
 }
 
 void
@@ -386,14 +380,12 @@ ZonedEngine::copy_wal_to_target(StatusCb done)
             src = static_cast<int>(d);
             break;
         }
-    auto shared_done = std::make_shared<StatusCb>(std::move(done));
     if (src < 0) {
-        loop_->schedule_after(1, [shared_done] {
-            (*shared_done)(
-                Status(StatusCode::kOffline, "no live journal source"));
-        });
+        complete_later(std::move(done),
+                       Status(StatusCode::kOffline, "no live journal source"));
         return;
     }
+    auto shared_done = std::make_shared<StatusCb>(std::move(done));
     auto step = std::make_shared<std::function<void()>>();
     // `step` closes over itself; break the cycle off-stack once done.
     auto conclude = [this, shared_done, step](Status s) {
@@ -413,37 +405,33 @@ ZonedEngine::copy_wal_to_target(StatusCb done)
             IoRequest wr = store_data_
                 ? IoRequest::write(slot, std::move(payload), /*fua=*/true)
                 : IoRequest::write_len(slot, 1, /*fua=*/true);
-            wr.trace_stage = "eng.rebuild";
-            wr.cause = obs::Cause::kRebuild;
-            chain_submit(t, 0, std::move(wr),
-                         [this, step, conclude, alive](IoResult w) {
-                             if (!*alive)
-                                 return;
-                             if (!w.status.is_ok()) {
-                                 conclude(w.status);
-                                 return;
-                             }
-                             ++rebuild_wal_copied_;
-                             (*step)();
-                         });
+            rebuild_submit(t, 0, std::move(wr),
+                           [this, step, conclude, alive](IoResult w) {
+                               if (!*alive)
+                                   return;
+                               if (!w.status.is_ok()) {
+                                   conclude(w.status);
+                                   return;
+                               }
+                               ++rebuild_wal_copied_;
+                               (*step)();
+                           });
         };
         if (!store_data_) {
             write_slot({});
             return;
         }
         IoRequest rd = IoRequest::read(slot, 1);
-        rd.trace_stage = "eng.rebuild";
-        rd.cause = obs::Cause::kRebuild;
-        chain_submit(static_cast<uint32_t>(src), 0, std::move(rd),
-                     [write_slot, conclude, alive](IoResult r) {
-                         if (!*alive)
-                             return;
-                         if (!r.status.is_ok()) {
-                             conclude(r.status);
-                             return;
-                         }
-                         write_slot(std::move(r.data));
-                     });
+        rebuild_submit(static_cast<uint32_t>(src), 0, std::move(rd),
+                       [write_slot, conclude, alive](IoResult r) {
+                           if (!*alive)
+                               return;
+                           if (!r.status.is_ok()) {
+                               conclude(r.status);
+                               return;
+                           }
+                           write_slot(std::move(r.data));
+                       });
     };
     (*step)();
 }
@@ -462,14 +450,12 @@ ZonedEngine::rebuild_zone(uint32_t zone)
                 return;
             }
             IoRequest fl = IoRequest::flush();
-            fl.trace_stage = "eng.rebuild";
-            fl.cause = obs::Cause::kRebuild;
-            chain_submit(static_cast<uint32_t>(rebuild_dev_), 0,
-                         std::move(fl), [this, alive](IoResult r) {
-                             if (!*alive)
-                                 return;
-                             finish_rebuild(r.status);
-                         });
+            rebuild_submit(static_cast<uint32_t>(rebuild_dev_), 0,
+                           std::move(fl), [this, alive](IoResult r) {
+                               if (!*alive)
+                                   return;
+                               finish_rebuild(r.status);
+                           });
         });
         return;
     }
@@ -528,11 +514,9 @@ ZonedEngine::rebuild_zone(uint32_t zone)
         IoRequest rst = IoRequest::zone_reset(
             static_cast<uint64_t>(zone + 1) *
             devs_[0]->geometry().zone_size);
-        rst.trace_stage = "eng.rebuild";
-        rst.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(rst),
-                     [this, zone, t, limit, zone_done,
-                      alive = alive_](IoResult r) {
+        rebuild_submit(t, phys_zone(zone), std::move(rst),
+                       [this, zone, t, limit, zone_done,
+                        alive = alive_](IoResult r) {
             if (!*alive)
                 return;
             if (!r.status.is_ok()) {
@@ -548,13 +532,11 @@ ZonedEngine::rebuild_zone(uint32_t zone)
                         "raid0 data on a lost member is unrecoverable"));
                     return;
                 }
-                loop_->schedule_after(
-                    1, [zone_done] { zone_done(Status::ok()); });
+                complete_later(zone_done, Status::ok());
                 return;
             case ZoneKind::kMirror: {
                 if (limit == 0) {
-                    loop_->schedule_after(
-                        1, [zone_done] { zone_done(Status::ok()); });
+                    complete_later(zone_done, Status::ok());
                     return;
                 }
                 std::vector<uint32_t> all(num_devices());
@@ -583,35 +565,44 @@ ZonedEngine::rebuild_zone(uint32_t zone)
 }
 
 void
+ZonedEngine::rebuild_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
+                            IoCallback cb)
+{
+    req.trace_stage = "eng.rebuild";
+    req.cause = obs::Cause::kRebuild;
+    chain_submit(dev, phys_zone, std::move(req), std::move(cb));
+}
+
+void
+ZonedEngine::finish_target_zone(uint32_t zone, StatusCb done)
+{
+    if (!zones_[zone].finished) {
+        complete_later(std::move(done), Status::ok());
+        return;
+    }
+    rebuild_submit(static_cast<uint32_t>(rebuild_dev_), phys_zone(zone),
+                   IoRequest::zone_finish(static_cast<uint64_t>(zone + 1) *
+                                          devs_[0]->geometry().zone_size),
+                   [done = std::move(done)](IoResult r) { done(r.status); });
+}
+
+void
 ZonedEngine::rebuild_mirror_rows(uint32_t zone, uint64_t row,
                                  uint64_t limit, uint32_t src,
                                  StatusCb done)
 {
-    const uint32_t t = static_cast<uint32_t>(rebuild_dev_);
     if (row >= limit) {
-        if (!zones_[zone].finished) {
-            loop_->schedule_after(1, [done = std::move(done)] {
-                done(Status::ok());
-            });
-            return;
-        }
-        IoRequest req = IoRequest::zone_finish(
-            static_cast<uint64_t>(zone + 1) *
-            devs_[0]->geometry().zone_size);
-        req.trace_stage = "eng.rebuild";
-        req.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(req),
-                     [done = std::move(done)](IoResult r) {
-                         done(r.status);
-                     });
+        finish_target_zone(zone, std::move(done));
         return;
     }
     const uint32_t n =
         static_cast<uint32_t>(std::min<uint64_t>(limit - row, 32));
+    if (!pacer_admit(n, [this, zone, row, limit, src, done] {
+            rebuild_mirror_rows(zone, row, limit, src, done);
+        }))
+        return;
     IoRequest rd = IoRequest::read(dev_row_lba(zone, row), n);
-    rd.trace_stage = "eng.rebuild";
-    rd.cause = obs::Cause::kRebuild;
-    chain_submit(
+    rebuild_submit(
         src, phys_zone(zone), std::move(rd),
         [this, zone, row, n, limit, src, done = std::move(done),
          alive = alive_](IoResult r) {
@@ -626,20 +617,18 @@ ZonedEngine::rebuild_mirror_rows(uint32_t zone, uint64_t row,
                 ? IoRequest::write(dev_row_lba(zone, row),
                                    std::move(r.data))
                 : IoRequest::write_len(dev_row_lba(zone, row), n);
-            wr.trace_stage = "eng.rebuild";
-            wr.cause = obs::Cause::kRebuild;
-            chain_submit(tgt, phys_zone(zone), std::move(wr),
-                         [this, zone, row, n, limit, src, done, alive](
-                             IoResult w) {
-                             if (!*alive)
-                                 return;
-                             if (!w.status.is_ok()) {
-                                 done(w.status);
-                                 return;
-                             }
-                             rebuild_mirror_rows(zone, row + n, limit,
-                                                 src, done);
-                         });
+            rebuild_submit(tgt, phys_zone(zone), std::move(wr),
+                           [this, zone, row, n, limit, src, done, alive](
+                               IoResult w) {
+                               if (!*alive)
+                                   return;
+                               if (!w.status.is_ok()) {
+                                   done(w.status);
+                                   return;
+                               }
+                               rebuild_mirror_rows(zone, row + n, limit,
+                                                   src, done);
+                           });
         });
 }
 
@@ -656,23 +645,15 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
     const uint64_t row0 = stripe * su;
 
     if (base >= limit) {
-        if (!z.finished) {
-            loop_->schedule_after(1, [done = std::move(done)] {
-                done(Status::ok());
-            });
-            return;
-        }
-        IoRequest req = IoRequest::zone_finish(
-            static_cast<uint64_t>(zone + 1) *
-            devs_[0]->geometry().zone_size);
-        req.trace_stage = "eng.rebuild";
-        req.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(req),
-                     [done = std::move(done)](IoResult r) {
-                         done(r.status);
-                     });
+        finish_target_zone(zone, std::move(done));
         return;
     }
+
+    // Paced per stripe by the unit height it may write to the target.
+    if (!pacer_admit(su, [this, zone, stripe, limit, done] {
+            rebuild_stripe_from(zone, stripe, limit, done);
+        }))
+        return;
 
     StatusCb next = [this, zone, stripe, limit, done](Status s) {
         if (!s.is_ok()) {
@@ -681,19 +662,15 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
         }
         rebuild_stripe_from(zone, stripe + 1, limit, done);
     };
-    auto skip = [this, next] {
-        loop_->schedule_after(1, [next] { next(Status::ok()); });
-    };
+    auto skip = [this, next] { complete_later(next, Status::ok()); };
     auto write_target = [this, zone, t, next](uint64_t row,
                                               std::vector<uint8_t> data,
                                               uint32_t nsect) {
         IoRequest wr = data.empty()
             ? IoRequest::write_len(dev_row_lba(zone, row), nsect)
             : IoRequest::write(dev_row_lba(zone, row), std::move(data));
-        wr.trace_stage = "eng.rebuild";
-        wr.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(wr),
-                     [next](IoResult r) { next(r.status); });
+        rebuild_submit(t, phys_zone(zone), std::move(wr),
+                       [next](IoResult r) { next(r.status); });
     };
 
     const bool complete = base + stripe_sect <= limit;
@@ -720,10 +697,9 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
                     break;
                 }
             if (src[u] == UINT32_MAX) {
-                loop_->schedule_after(1, [next] {
-                    next(Status(StatusCode::kIoError,
-                                "rebuild: stripe data unavailable"));
-                });
+                complete_later(
+                    next, Status(StatusCode::kIoError,
+                                 "rebuild: stripe data unavailable"));
                 return;
             }
         }
@@ -751,19 +727,17 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
         for (uint32_t u = 0; u < units; ++u) {
             ++*pending;
             IoRequest rd = IoRequest::read(dev_row_lba(zone, row0), su);
-            rd.trace_stage = "eng.rebuild";
-            rd.cause = obs::Cause::kRebuild;
-            chain_submit(src[u], phys_zone(zone), std::move(rd),
-                         [u, bufs, pending, st, fin](IoResult r) {
-                             if (!r.status.is_ok()) {
-                                 if (st->is_ok())
-                                     *st = r.status;
-                             } else {
-                                 (*bufs)[u] = std::move(r.data);
-                             }
-                             if (--*pending == 0)
-                                 fin();
-                         });
+            rebuild_submit(src[u], phys_zone(zone), std::move(rd),
+                           [u, bufs, pending, st, fin](IoResult r) {
+                               if (!r.status.is_ok()) {
+                                   if (st->is_ok())
+                                       *st = r.status;
+                               } else {
+                                   (*bufs)[u] = std::move(r.data);
+                               }
+                               if (--*pending == 0)
+                                   fin();
+                           });
         }
         return;
     }
@@ -804,22 +778,19 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
             dev_live(partner) &&
             (z.rec_fill.empty() || z.rec_fill[partner] >= row0 + rows);
         if (!ok) {
-            loop_->schedule_after(1, [next] {
-                next(Status(StatusCode::kIoError, "mirror pair lost"));
-            });
+            complete_later(next,
+                           Status(StatusCode::kIoError, "mirror pair lost"));
             return;
         }
         IoRequest rd = IoRequest::read(dev_row_lba(zone, row0), nrows);
-        rd.trace_stage = "eng.rebuild";
-        rd.cause = obs::Cause::kRebuild;
-        chain_submit(partner, phys_zone(zone), std::move(rd),
-                     [row0, nrows, next, write_target](IoResult r) {
-                         if (!r.status.is_ok()) {
-                             next(r.status);
-                             return;
-                         }
-                         write_target(row0, std::move(r.data), nrows);
-                     });
+        rebuild_submit(partner, phys_zone(zone), std::move(rd),
+                       [row0, nrows, next, write_target](IoResult r) {
+                           if (!r.status.is_ok()) {
+                               next(r.status);
+                               return;
+                           }
+                           write_target(row0, std::move(r.data), nrows);
+                       });
         return;
     }
 
@@ -845,10 +816,8 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
             skip();
             return;
         }
-        loop_->schedule_after(1, [next] {
-            next(Status(StatusCode::kIoError,
-                        "rebuild: open-stripe data unavailable"));
-        });
+        complete_later(next, Status(StatusCode::kIoError,
+                                    "rebuild: open-stripe data unavailable"));
         return;
     }
 
@@ -868,6 +837,7 @@ void
 ZonedEngine::finish_rebuild(Status s)
 {
     rebuilding_ = false;
+    pacer_end();
     rebuild_cur_zone_ = -1;
     const int dev = rebuild_dev_;
     rebuild_dev_ = -1;
@@ -892,27 +862,6 @@ ZonedEngine::finish_rebuild(Status s)
         zone_advance(z);
     if (done)
         done(s);
-}
-
-void
-ZonedEngine::maybe_start_auto_rebuild(uint32_t dev)
-{
-    if (!lifecycle_.auto_rebuild || rebuilding_ || !has_spare())
-        return;
-    ++stats_.auto_failovers;
-    LOG_INFO("%s: promoting hot spare for failed member %u",
-             metric_prefix().c_str(), dev);
-    loop_->schedule_after(1, [this, dev, alive = alive_] {
-        if (!*alive)
-            return;
-        if (!failed_devs_[dev] || rebuilding_ || !has_spare())
-            return;
-        promote_spare_base(dev);
-        rebuild_device(dev, nullptr, [this, dev](Status s) {
-            if (lifecycle_.on_rebuild_done)
-                lifecycle_.on_rebuild_done(dev, s);
-        });
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -982,7 +931,7 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                 for (size_t i = 1; i < copies.size(); ++i)
                     if (copies[i] != copies[0])
                         ++rep->parity_mismatches;
-                if (!crc_range_ok(zone, off, copies[0].data(), nn))
+                if (!z.crc.range_ok(off, copies[0].data(), nn))
                     ++rep->crc_mismatches;
             }
             ++rep->stripes_scanned;
@@ -1019,7 +968,7 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                 }
                 if (copies.size() == 2 && copies[0] != copies[1])
                     ++rep->parity_mismatches;
-                if (!crc_range_ok(zone, cb, copies[0].data(), nn))
+                if (!z.crc.range_ok(cb, copies[0].data(), nn))
                     ++rep->crc_mismatches;
             }
             ++rep->stripes_scanned;
@@ -1048,7 +997,7 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                     ++rep->unrecoverable;
                     continue;
                 }
-                if (!crc_range_ok(zone, cb, buf.data(), nn))
+                if (!z.crc.range_ok(cb, buf.data(), nn))
                     ++rep->crc_mismatches;
             }
             ++rep->stripes_scanned;
@@ -1090,10 +1039,9 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                     io_err = true;
                     break;
                 }
-                if (!crc_range_ok(zone,
-                                  s * stripe_sect +
-                                      static_cast<uint64_t>(u) * su,
-                                  buf.data(), su))
+                if (!z.crc.range_ok(s * stripe_sect +
+                                        static_cast<uint64_t>(u) * su,
+                                    buf.data(), su))
                     ++rep->crc_mismatches;
                 xor_bytes(p_calc.data(), buf.data(), bytes);
                 if (qd >= 0)

@@ -1,4 +1,4 @@
-#include "raizn/throttle.h"
+#include "array/throttle.h"
 
 #include <algorithm>
 
@@ -10,6 +10,14 @@ namespace {
 constexpr double kSecNs = 1e9;
 constexpr double kEwmaAlpha = 0.2;
 } // namespace
+
+void
+LatencyEwma::add(uint64_t sample)
+{
+    ns = ns == 0.0
+        ? static_cast<double>(sample)
+        : kEwmaAlpha * static_cast<double>(sample) + (1.0 - kEwmaAlpha) * ns;
+}
 
 RebuildThrottle::RebuildThrottle(EventLoop *loop, RebuildThrottleConfig cfg)
     : loop_(loop), cfg_(cfg), rate_(cfg.rate_sectors_per_sec),
@@ -60,19 +68,16 @@ RebuildThrottle::ns_until(uint64_t sectors) const
 void
 RebuildThrottle::observe_foreground_latency(uint64_t ns)
 {
-    ewma_ns_ = ewma_ns_ == 0.0
-        ? static_cast<double>(ns)
-        : kEwmaAlpha * static_cast<double>(ns) +
-            (1.0 - kEwmaAlpha) * ewma_ns_;
+    ewma_.add(ns);
     if (!cfg_.adaptive || !enabled() || baseline_ns_ <= 0.0)
         return;
-    if (ewma_ns_ > cfg_.backoff_factor * baseline_ns_) {
+    if (ewma_.ns > cfg_.backoff_factor * baseline_ns_) {
         uint64_t next = std::max(rate_ / 2, cfg_.min_rate_sectors_per_sec);
         if (next < rate_) {
             rate_ = next;
             backoffs_++;
         }
-    } else if (ewma_ns_ < cfg_.restore_factor * baseline_ns_ &&
+    } else if (ewma_.ns < cfg_.restore_factor * baseline_ns_ &&
                rate_ < cfg_.rate_sectors_per_sec) {
         rate_ = std::min(rate_ * 2, cfg_.rate_sectors_per_sec);
     }

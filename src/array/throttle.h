@@ -35,6 +35,13 @@ struct RebuildThrottleConfig {
     double restore_factor = 1.25;
 };
 
+/// Foreground write latency EWMA (alpha 0.2); the first sample seeds
+/// it.
+struct LatencyEwma {
+    double ns = 0.0;
+    void add(uint64_t sample);
+};
+
 class RebuildThrottle {
   public:
     RebuildThrottle(EventLoop *loop, RebuildThrottleConfig cfg);
@@ -61,7 +68,6 @@ class RebuildThrottle {
     uint64_t current_rate() const { return rate_; }
     uint64_t stalls() const { return stalls_; }
     uint64_t backoffs() const { return backoffs_; }
-    double foreground_ewma_ns() const { return ewma_ns_; }
 
   private:
     void refill();
@@ -73,7 +79,7 @@ class RebuildThrottle {
     uint64_t last_refill_ns_ = 0;
     uint64_t stalls_ = 0;
     uint64_t backoffs_ = 0;
-    double ewma_ns_ = 0.0;
+    LatencyEwma ewma_; ///< samples seen since the bucket was created
     double baseline_ns_ = 0.0;
 };
 

@@ -97,10 +97,17 @@ ZonedArray::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
 {
     (void)dev;
     (void)progress;
-    loop_->schedule_after(1, [done = std::move(done)] {
+    complete_later(std::move(done),
+                   Status(StatusCode::kNotSupported,
+                          "rebuild unsupported on this array"));
+}
+
+void
+ZonedArray::complete_later(StatusCb done, Status s)
+{
+    loop_->schedule_after(1, [done = std::move(done), s = std::move(s)] {
         if (done)
-            done(Status(StatusCode::kNotSupported,
-                        "rebuild unsupported on this array"));
+            done(s);
     });
 }
 
@@ -237,7 +244,49 @@ ZonedArray::escalate_dev_error(uint32_t dev, const Status &s)
 }
 
 void
-ZonedArray::promote_spare_base(uint32_t dev)
+ZonedArray::maybe_start_auto_rebuild(uint32_t dev)
+{
+    if (spare_ == nullptr || !failover_ready(dev))
+        return;
+    const DeviceGeometry &sg = spare_->geometry();
+    const DeviceGeometry &dg = devs_[dev]->geometry();
+    // Layouts, metadata zones and mount all assume one zone geometry;
+    // a conventional member only needs room for its sectors.
+    if (spare_->failed() || sg.zoned != dg.zoned ||
+        (dg.zoned ? sg.nzones != dg.nzones || sg.zone_size != dg.zone_size ||
+                        sg.zone_capacity != dg.zone_capacity
+                  : sg.nsectors < dg.nsectors)) {
+        LOG_ERROR("%s: hot spare unusable for slot %u; staying degraded",
+                  metric_prefix().c_str(), dev);
+        return;
+    }
+    ++*cells_.auto_failovers;
+    // Defer off the error path: mark_device_failed can run deep inside
+    // a sub-IO completion, and a rebuild may drive the loop itself.
+    loop_->schedule_after(1, [this, dev, alive = alive_] {
+        if (!*alive || spare_ == nullptr || !failover_ready(dev))
+            return;
+        promote_spare(dev);
+        auto on_done = lifecycle_.on_rebuild_done;
+        rebuild_device(dev, nullptr, [this, dev, on_done,
+                                      alive](Status s) {
+            if (!*alive)
+                return;
+            if (s.is_ok())
+                LOG_INFO("%s: automatic rebuild of slot %u complete",
+                         metric_prefix().c_str(), dev);
+            else
+                LOG_ERROR("%s: automatic rebuild of slot %u failed: %s",
+                          metric_prefix().c_str(), dev,
+                          s.to_string().c_str());
+            if (on_done)
+                on_done(dev, s);
+        });
+    });
+}
+
+void
+ZonedArray::promote_spare(uint32_t dev)
 {
     devs_[dev] = spare_;
     spare_ = nullptr;
@@ -250,14 +299,105 @@ ZonedArray::promote_spare_base(uint32_t dev)
         ledger_->rebind_device(dev, devs_[dev]);
         devs_[dev]->set_ledger(ledger_, dev);
     }
+    LOG_INFO("%s: hot spare promoted into slot %u",
+             metric_prefix().c_str(), dev);
+}
+
+void
+ZonedArray::note_write_ack(Tick t0, uint64_t span, uint32_t user_sectors)
+{
+    const Tick now = loop_->now();
+    if (trace_ != nullptr && span != 0)
+        trace_->end_span(span, now);
+    if (write_lat_ != nullptr)
+        write_lat_->record(now - t0);
+    if (ledger_ != nullptr && user_sectors > 0)
+        ledger_->note_user_write(user_sectors);
+    note_foreground_write(now - t0);
+}
+
+void
+ZonedArray::note_read_ack(Tick t0, uint64_t span, uint32_t user_sectors)
+{
+    const Tick now = loop_->now();
+    if (trace_ != nullptr && span != 0)
+        trace_->end_span(span, now);
+    if (read_lat_ != nullptr)
+        read_lat_->record(now - t0);
+    if (ledger_ != nullptr && user_sectors > 0)
+        ledger_->note_user_read(user_sectors);
+}
+
+void
+ZonedArray::note_foreground_write(uint64_t ns)
+{
+    fg_write_ewma_.add(ns);
+    if (throttle_ != nullptr)
+        throttle_->observe_foreground_latency(ns);
+}
+
+void
+ZonedArray::pacer_begin()
+{
+    pacer_end();
+    if (lifecycle_.throttle.rate_sectors_per_sec == 0)
+        return;
+    throttle_ = std::make_unique<RebuildThrottle>(loop_, lifecycle_.throttle);
+    throttle_->set_baseline_latency(fg_write_ewma_.ns);
+}
+
+void
+ZonedArray::pacer_end()
+{
+    throttle_.reset();
+    pacer_armed_ = false;
+    ++pacer_epoch_;
+}
+
+void
+ZonedArray::pacer_stall(uint64_t sectors, std::function<void()> resume)
+{
+    ++*cells_.throttle_stalls;
+    if (pacer_armed_)
+        return;
+    pacer_armed_ = true;
+    loop_->schedule_after(
+        throttle_->ns_until(sectors),
+        [this, epoch = pacer_epoch_, resume = std::move(resume),
+         alive = alive_] {
+            if (!*alive || epoch != pacer_epoch_)
+                return;
+            pacer_armed_ = false;
+            resume();
+        });
 }
 
 void
 ZonedArray::on_health_event(uint32_t dev, HealthEvent ev)
 {
-    if (ev == HealthEvent::kFailed &&
-        failed_device() != static_cast<int>(dev))
-        mark_device_failed(dev);
+    switch (ev) {
+    case HealthEvent::kSuspect:
+        if (cells_.health_suspects != nullptr)
+            ++*cells_.health_suspects;
+        LOG_INFO("%s: device %u health: suspect", metric_prefix().c_str(),
+                 dev);
+        break;
+    case HealthEvent::kFailSlow:
+        if (cells_.fail_slow_detected != nullptr)
+            ++*cells_.fail_slow_detected;
+        LOG_WARN("%s: device %u health: fail-slow (latency EWMA far above "
+                 "peers)",
+                 metric_prefix().c_str(), dev);
+        break;
+    case HealthEvent::kFailed:
+        // The data path escalates through escalate_dev_error when a
+        // command actually fails; this edge catches evidence that
+        // accrued without a caller to observe it (e.g. metadata-path
+        // retries) so the failover never waits for the next IO.
+        if (!is_marked_failed(dev))
+            mark_device_failed(dev);
+        break;
+    }
 }
 
 } // namespace raizn

@@ -5,9 +5,11 @@
  * the generic ZonedEngine modes (RAID-0/1/5/6/10, auto). The base owns
  * everything the modes would otherwise re-implement: the retry/backoff
  * + watchdog submit path (src/fault), per-device health tracking with
- * escalation into mark_device_failed, hot-spare bookkeeping, and the
- * metrics/trace attachment (per-device DeviceStats + latency
- * histograms, health counters, total-latency histograms).
+ * escalation into mark_device_failed, the failure lifecycle (hot-spare
+ * failover into rebuild_device, rebuild pacing against foreground
+ * write latency), and the metrics/trace attachment (per-device
+ * DeviceStats + latency histograms, health counters, total-latency
+ * histograms).
  *
  * Subclasses provide the data path (read/write/flush/zone management),
  * the failure semantics (mark_device_failed / rebuild), and a stats
@@ -20,9 +22,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/raid_mode.h"
+#include "array/throttle.h"
 #include "fault/health.h"
 #include "fault/retry.h"
 #include "zns/block_device.h"
@@ -123,10 +127,27 @@ class ZonedArray
     /**
      * Attaches a hot spare (a fresh, formatted-blank device with the
      * same geometry). Non-owning; the spare must outlive the array or
-     * be detached with set_spare(nullptr).
+     * be detached with set_spare(nullptr). An attached spare is the
+     * failover switch: when a device is marked failed, a usable spare
+     * is promoted into its slot and rebuilt in the background.
      */
     void set_spare(BlockDevice *spare) { spare_ = spare; }
     bool has_spare() const { return spare_ != nullptr; }
+
+    // ---- Failure lifecycle -----------------------------------------
+    /**
+     * Policy for the automatic failure lifecycle (healthy -> suspect
+     * -> failed -> rebuilding -> healthy) and for every rebuild's
+     * pace. The throttle bounds rebuild traffic so degraded foreground
+     * service keeps headroom; its adaptive mode backs off while the
+     * foreground write latency rises above the pre-rebuild baseline.
+     */
+    struct LifecycleConfig {
+        RebuildThrottleConfig throttle;
+        /// Fired when an automatic rebuild finishes (or fails).
+        std::function<void(uint32_t dev, Status s)> on_rebuild_done;
+    };
+    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
 
     // ---- Observability ---------------------------------------------
     /**
@@ -139,7 +160,6 @@ class ZonedArray
      */
     void attach_observability(obs::MetricsRegistry *reg,
                               obs::TraceRecorder *trace);
-    obs::TraceRecorder *trace_recorder() const { return trace_; }
     /// Registers gauge-refresh probes for timeseries sampling.
     virtual void install_timeline(obs::Timeline *tl) { (void)tl; }
 
@@ -174,6 +194,11 @@ class ZonedArray
         uint64_t *io_timeouts = nullptr;
         uint64_t *dev_errors = nullptr;
         uint64_t *spares_promoted = nullptr;
+        uint64_t *auto_failovers = nullptr;
+        uint64_t *throttle_stalls = nullptr; ///< rebuild IOs delayed
+        /// Health edges; engines without the counters leave them null.
+        uint64_t *health_suspects = nullptr;
+        uint64_t *fail_slow_detected = nullptr;
     };
 
     ZonedArray(EventLoop *loop, std::vector<BlockDevice *> devs,
@@ -191,9 +216,65 @@ class ZonedArray
      */
     bool escalate_dev_error(uint32_t dev, const Status &s);
 
+    /// Reports `s` to `done` (when set) one tick later, off the
+    /// caller's stack.
+    void complete_later(StatusCb done, Status s);
+
+    // ---- Failure lifecycle -----------------------------------------
+    /**
+     * Failover entry point, called by mark_device_failed: when a spare
+     * is attached and usable (not failed; zone geometry equal to a
+     * zoned member's, or at least a conventional member's sectors),
+     * counts an auto failover and, off the error path,
+     * promotes the spare and rebuilds `dev` onto it, reporting to
+     * LifecycleConfig::on_rebuild_done. Otherwise the array stays
+     * degraded with the spare left attached.
+     */
+    void maybe_start_auto_rebuild(uint32_t dev);
+    /// Whether a failover of `dev` may start (checked again when the
+    /// deferred promotion runs).
+    virtual bool failover_ready(uint32_t dev) const
+    {
+        return is_marked_failed(dev);
+    }
     /// Swaps the attached spare into slot `dev` and resets its health
-    /// history. Subclasses wrap this with their own bookkeeping.
-    void promote_spare_base(uint32_t dev);
+    /// history. Subclasses extend it with their own bookkeeping.
+    virtual void promote_spare(uint32_t dev);
+
+    /**
+     * Ack bookkeeping, once per logical write at its ack: ends
+     * the request span (`span` 0 = none), records the total latency
+     * since `t0`, feeds it to the rebuild pacer's foreground EWMA, and
+     * counts `user_sectors` acked user sectors (0 when the write failed
+     * or was internal).
+     */
+    void note_write_ack(Tick t0, uint64_t span, uint32_t user_sectors);
+    /// The same for a logical read (no pacer feed).
+    void note_read_ack(Tick t0, uint64_t span, uint32_t user_sectors);
+
+    /**
+     * Rebuild pacing: rebuilds bracket their traffic with pacer_begin
+     * / pacer_end, which create and drop the token bucket (when
+     * LifecycleConfig::throttle sets a rate) with the foreground write
+     * latency EWMA as its adaptive baseline.
+     */
+    void pacer_begin();
+    void pacer_end();
+    /**
+     * The pacing gate for `sectors` of rebuild IO: true when they may
+     * issue now. Otherwise counts a throttle stall and, unless a
+     * wake-up is already armed, schedules `resume` for when the tokens
+     * will be there; the caller stops issuing until then.
+     */
+    template <typename Resume>
+    bool
+    pacer_admit(uint64_t sectors, Resume &&resume)
+    {
+        if (throttle_ == nullptr || throttle_->try_acquire(sectors))
+            return true;
+        pacer_stall(sectors, std::forward<Resume>(resume));
+        return false;
+    }
 
     // ---- Subclass hooks --------------------------------------------
     /// Metric namespace for the array's own stats ("raizn", "raid5").
@@ -212,8 +293,9 @@ class ZonedArray
     /// recreates it).
     virtual void on_resilience_changed() {}
     /// Health-monitor escalation edges land here (invoked only after
-    /// construction completes). Default: fail the device on kFailed.
-    virtual void on_health_event(uint32_t dev, HealthEvent ev);
+    /// construction completes): counts suspect / fail-slow verdicts and
+    /// fails the device on kFailed.
+    void on_health_event(uint32_t dev, HealthEvent ev);
     /// Whether `dev` is the/a failed device from escalate_dev_error's
     /// point of view. Multi-failure engines override.
     virtual bool is_marked_failed(uint32_t dev) const
@@ -249,6 +331,16 @@ class ZonedArray
 
     /// Guards scheduled events against array destruction.
     std::shared_ptr<bool> alive_;
+
+  private:
+    void note_foreground_write(uint64_t ns);
+    void pacer_stall(uint64_t sectors, std::function<void()> resume);
+
+    LifecycleConfig lifecycle_;
+    std::unique_ptr<RebuildThrottle> throttle_; ///< while pacing
+    LatencyEwma fg_write_ewma_; ///< since construction: the baseline
+    bool pacer_armed_ = false; ///< a refill wake-up is scheduled
+    uint64_t pacer_epoch_ = 0; ///< bumped per rebuild: stale wake-ups
 };
 
 } // namespace raizn

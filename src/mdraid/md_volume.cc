@@ -4,13 +4,13 @@
 #include <cassert>
 #include <cstring>
 
+#include "array/parity.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes, parity_byte_range
 #include "sim/event_loop.h"
 #include "zns/conv_device.h"
 
@@ -28,14 +28,19 @@ struct MdVolume::WriteCtx {
     Status status;
     IoCallback cb;
     uint64_t end_lba = 0;
+    uint32_t nsectors = 0; ///< logical length (acked-user-byte ledger)
+    Tick t0 = 0; ///< write_impl entry (total latency)
     uint64_t req_id = 0; ///< trace correlation id (0 when detached)
+    uint64_t total_token = 0; ///< open "md.write" span
 };
 
 MdVolume::MdVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
                    MdVolumeConfig cfg)
     : ZonedArray(loop, std::move(devs),
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
-                           &stats_.dev_errors, &stats_.spares_promoted}),
+                           &stats_.dev_errors, &stats_.spares_promoted,
+                           &stats_.auto_failovers,
+                           &stats_.resync_throttle_stalls}),
       cfg_(cfg)
 {
     assert(devs_.size() >= 3);
@@ -245,32 +250,6 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     }
     stats_.logical_reads++;
     stats_.sectors_read += nsectors;
-    if (ledger_ != nullptr) {
-        cb = [this, nsectors, inner = std::move(cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_read(nsectors);
-            inner(std::move(r));
-        };
-    }
-
-    uint64_t treq = 0;
-    if (trace_ != nullptr || read_lat_ != nullptr) {
-        uint64_t token = 0;
-        if (trace_ != nullptr) {
-            treq = trace_->next_request_id();
-            token = trace_->begin_span("md.read", treq,
-                                       obs::kTrackRequest, loop_->now());
-        }
-        Tick t0 = loop_->now();
-        cb = [this, token, t0, inner = std::move(cb)](IoResult r) {
-            Tick now = loop_->now();
-            if (trace_ != nullptr && token != 0)
-                trace_->end_span(token, now);
-            if (read_lat_ != nullptr)
-                read_lat_->record(now - t0);
-            inner(std::move(r));
-        };
-    }
 
     struct Ctx {
         uint32_t pending = 0;
@@ -278,11 +257,28 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
         Status status;
         std::vector<uint8_t> out;
         IoCallback cb;
+        Tick t0 = 0;
+        uint64_t token = 0; ///< open "md.read" span
     };
     auto ctx = std::make_shared<Ctx>();
     ctx->cb = std::move(cb);
+    ctx->t0 = loop_->now();
     if (store_data_)
         ctx->out.assign(static_cast<size_t>(nsectors) * kSectorSize, 0);
+    uint64_t treq = 0;
+    if (trace_ != nullptr) {
+        treq = trace_->next_request_id();
+        ctx->token = trace_->begin_span("md.read", treq,
+                                        obs::kTrackRequest, ctx->t0);
+    }
+    auto ack = [this, nsectors](Ctx &c) {
+        IoResult r;
+        r.status = c.status;
+        r.data = std::move(c.out);
+        note_read_ack(c.t0, c.token, r.status.is_ok() ? nsectors : 0);
+        auto cb = std::move(c.cb);
+        cb(std::move(r));
+    };
 
     uint64_t cur = lba;
     uint64_t end = lba + nsectors;
@@ -296,8 +292,8 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
         uint64_t out_off = (cur - lba) * kSectorSize;
         ctx->pending++;
         read_chunk(stripe, k, lo, lo + len,
-                   [this, ctx, out_off](Status s,
-                                        std::vector<uint8_t> data) {
+                   [ctx, out_off, ack](Status s,
+                                       std::vector<uint8_t> data) {
                        if (!s.is_ok() && ctx->status.is_ok())
                            ctx->status = s;
                        if (!data.empty() && !ctx->out.empty()) {
@@ -307,28 +303,15 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
                                                 ctx->out.size() -
                                                     out_off));
                        }
-                       if (--ctx->pending == 0 && ctx->issued_all) {
-                           IoResult r;
-                           r.status = ctx->status;
-                           r.data = std::move(ctx->out);
-                           auto cb2 = std::move(ctx->cb);
-                           cb2(std::move(r));
-                       }
-                       (void)this;
+                       if (--ctx->pending == 0 && ctx->issued_all)
+                           ack(*ctx);
                    },
                    "md.read_chunk", treq);
         cur += len;
     }
     ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        loop_->schedule_after(1, [ctx] {
-            IoResult r;
-            r.status = ctx->status;
-            r.data = std::move(ctx->out);
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(r));
-        });
-    }
+    if (ctx->pending == 0)
+        loop_->schedule_after(1, [ctx, ack] { ack(*ctx); });
 }
 
 // ---- Write path -------------------------------------------------------
@@ -364,42 +347,12 @@ MdVolume::write_impl(uint64_t lba, std::vector<uint8_t> data,
     auto ctx = std::make_shared<WriteCtx>();
     ctx->cb = std::move(cb);
     ctx->end_lba = lba + nsectors;
-    if (ledger_ != nullptr) {
-        ctx->cb = [this, nsectors, inner = std::move(ctx->cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_write(nsectors);
-            inner(std::move(r));
-        };
-    }
-    // Foreground-latency feedback for the adaptive resync throttle.
-    ctx->cb = [this, t0 = loop_->now(),
-               inner = std::move(ctx->cb)](IoResult r) {
-        uint64_t elapsed = loop_->now() - t0;
-        fg_write_ewma_ns_ = fg_write_ewma_ns_ == 0.0
-            ? static_cast<double>(elapsed)
-            : 0.2 * static_cast<double>(elapsed) +
-                0.8 * fg_write_ewma_ns_;
-        if (throttle_ != nullptr && resyncing_)
-            throttle_->observe_foreground_latency(elapsed);
-        inner(std::move(r));
-    };
-    if (trace_ != nullptr || write_lat_ != nullptr) {
-        uint64_t token = 0;
-        if (trace_ != nullptr) {
-            ctx->req_id = trace_->next_request_id();
-            token = trace_->begin_span("md.write", ctx->req_id,
-                                       obs::kTrackRequest, loop_->now());
-        }
-        Tick t0 = loop_->now();
-        ctx->cb = [this, token, t0,
-                   inner = std::move(ctx->cb)](IoResult r) {
-            Tick now = loop_->now();
-            if (trace_ != nullptr && token != 0)
-                trace_->end_span(token, now);
-            if (write_lat_ != nullptr)
-                write_lat_->record(now - t0);
-            inner(std::move(r));
-        };
+    ctx->nsectors = nsectors;
+    ctx->t0 = loop_->now();
+    if (trace_ != nullptr) {
+        ctx->req_id = trace_->next_request_id();
+        ctx->total_token = trace_->begin_span(
+            "md.write", ctx->req_id, obs::kTrackRequest, ctx->t0);
     }
 
     uint64_t cur = lba;
@@ -421,14 +374,19 @@ MdVolume::write_impl(uint64_t lba, std::vector<uint8_t> data,
         cur = stripe * stripe_sectors_ + hi;
     }
     ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        loop_->schedule_after(1, [ctx] {
-            IoResult r;
-            r.status = ctx->status;
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(r));
-        });
-    }
+    if (ctx->pending == 0)
+        loop_->schedule_after(1, [this, ctx] { finish_write(ctx); });
+}
+
+void
+MdVolume::finish_write(const std::shared_ptr<WriteCtx> &ctx)
+{
+    IoResult r;
+    r.status = ctx->status;
+    note_write_ack(ctx->t0, ctx->total_token,
+                   r.status.is_ok() ? ctx->nsectors : 0);
+    auto cb = std::move(ctx->cb);
+    cb(std::move(r));
 }
 
 void
@@ -539,12 +497,8 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
             ctx->status = rmw->status;
         write_chunks(stripe, lo, hi, *data, parity, ctx);
         // Release the preread hold.
-        if (--ctx->pending == 0 && ctx->issued_all) {
-            IoResult r;
-            r.status = ctx->status;
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(r));
-        }
+        if (--ctx->pending == 0 && ctx->issued_all)
+            finish_write(ctx);
     };
 
     // Preread every invalid sector range outside [lo, hi).
@@ -614,12 +568,8 @@ MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
         }
         if (!r.status.is_ok() && ctx->status.is_ok())
             ctx->status = r.status;
-        if (--ctx->pending == 0 && ctx->issued_all) {
-            IoResult out;
-            out.status = ctx->status;
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(out));
-        }
+        if (--ctx->pending == 0 && ctx->issued_all)
+            finish_write(ctx);
     };
 
     // Data chunks.
@@ -720,50 +670,8 @@ MdVolume::mark_device_failed(uint32_t dev)
         failed_dev_ = static_cast<int>(dev);
         if (!devs_[dev]->failed())
             devs_[dev]->fail();
-        maybe_start_auto_resync(dev);
+        maybe_start_auto_rebuild(dev);
     }
-}
-
-void
-MdVolume::promote_spare(uint32_t dev)
-{
-    promote_spare_base(dev);
-    LOG_INFO("mdraid: hot spare promoted into slot %u", dev);
-}
-
-void
-MdVolume::maybe_start_auto_resync(uint32_t dev)
-{
-    if (!lifecycle_.auto_resync || spare_ == nullptr ||
-        failed_dev_ != static_cast<int>(dev)) {
-        return;
-    }
-    if (spare_->failed() ||
-        spare_->geometry().nsectors < devs_[dev]->geometry().nsectors) {
-        LOG_ERROR("mdraid: spare unusable for slot %u", dev);
-        return;
-    }
-    stats_.auto_failovers++;
-    // Defer off the error path: mark_device_failed can run deep inside
-    // an IO completion; the promotion + resync kick must not reenter.
-    loop_->schedule_after(1, [this, dev, alive = alive_] {
-        if (!*alive || failed_dev_ != static_cast<int>(dev) ||
-            spare_ == nullptr) {
-            return;
-        }
-        promote_spare(dev);
-        resync_device(dev, nullptr, [this, dev, alive](Status s) {
-            if (!*alive)
-                return;
-            if (!s.is_ok()) {
-                LOG_ERROR("mdraid: automatic resync of slot %u failed: "
-                          "%s",
-                          dev, s.to_string().c_str());
-            }
-            if (lifecycle_.on_resync_done)
-                lifecycle_.on_resync_done(dev, s);
-        });
-    });
 }
 
 } // namespace raizn

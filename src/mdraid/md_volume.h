@@ -18,7 +18,6 @@
 #include "fault/health.h"
 #include "fault/retry.h"
 #include "mdraid/stripe_cache.h"
-#include "raizn/throttle.h"
 #include "zns/block_device.h"
 
 namespace raizn {
@@ -113,33 +112,6 @@ class MdVolume : public ZonedArray
     void mark_device_failed(uint32_t dev) override;
     int failed_device() const override { return failed_dev_; }
 
-    using ZonedArray::set_resilience;
-    /// Legacy knob form; same semantics as the ResilienceConfig one.
-    void set_resilience(const RetryPolicy &retry,
-                        const HealthConfig &health = HealthConfig{})
-    {
-        set_resilience(ResilienceConfig{retry, health});
-    }
-
-    /**
-     * Failure-lifecycle policy, mirroring RaiznVolume::LifecycleConfig
-     * (Fig. 12 MTTR parity): when a device is marked failed and a hot
-     * spare is configured, the spare is promoted and a full resync
-     * starts automatically, optionally rate-limited by `throttle`.
-     */
-    struct LifecycleConfig {
-        bool auto_resync = true;
-        RebuildThrottleConfig throttle;
-        std::function<void(uint32_t dev, Status s)> on_resync_done;
-    };
-    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
-    const LifecycleConfig &lifecycle() const { return lifecycle_; }
-    /// Live token bucket while a resync is in flight (else null).
-    const RebuildThrottle *resync_throttle() const
-    {
-        return throttle_.get();
-    }
-
     /**
      * Resyncs a replaced device: reconstructs and rewrites the ENTIRE
      * device address space, regardless of how much user data exists —
@@ -185,6 +157,8 @@ class MdVolume : public ZonedArray
 
     void write_impl(uint64_t lba, std::vector<uint8_t> data,
                     uint32_t nsectors, IoCallback cb);
+    /// The write ack point (ZonedArray::note_write_ack, callback).
+    void finish_write(const std::shared_ptr<WriteCtx> &ctx);
     void process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
                               std::shared_ptr<std::vector<uint8_t>> data,
                               std::shared_ptr<WriteCtx> ctx);
@@ -202,12 +176,8 @@ class MdVolume : public ZonedArray
     uint64_t chunk_pba(uint64_t stripe) const;
     bool store_data() const { return store_data_; }
     // dev_submit / escalate_dev_error are inherited from ZonedArray;
-    // all device IO funnels through the retrier.
-    /// Swaps the configured spare into slot `dev`.
-    void promote_spare(uint32_t dev);
-    /// Failover policy: promote the spare and start a background
-    /// resync, deferred off the error path.
-    void maybe_start_auto_resync(uint32_t dev);
+    // all device IO funnels through the retrier. Spare failover and
+    // resync pacing are ZonedArray's failure lifecycle.
 
     // ZonedArray hooks.
     std::string metric_prefix() const override { return "mdraid"; }
@@ -222,12 +192,6 @@ class MdVolume : public ZonedArray
     MdVolumeStats stats_;
     int failed_dev_ = -1;
     bool store_data_;
-
-    // Failure lifecycle (set_lifecycle / set_spare).
-    LifecycleConfig lifecycle_;
-    std::unique_ptr<RebuildThrottle> throttle_;
-    bool resyncing_ = false;
-    double fg_write_ewma_ns_ = 0.0;
 };
 
 } // namespace raizn

@@ -8,10 +8,10 @@
 #include <cassert>
 #include <map>
 
+#include "array/parity.h"
 #include "common/logging.h"
 #include "mdraid/md_volume.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -28,7 +28,6 @@ struct ResyncJob {
     std::function<void(uint64_t, uint64_t)> progress;
     StatusCb done;
     bool finished = false;
-    bool throttle_armed = false; ///< refill wake-up already scheduled
 
     // Trace correlation (0 = tracing detached).
     uint64_t trace_req = 0;
@@ -45,10 +44,9 @@ MdVolume::resync_device(uint32_t dev,
                         StatusCb done)
 {
     if (failed_dev_ != static_cast<int>(dev) || devs_[dev]->failed()) {
-        loop_->schedule_after(1, [done = std::move(done)] {
-            done(Status(StatusCode::kInvalidArgument,
-                        "device not failed+replaced"));
-        });
+        complete_later(std::move(done),
+                       Status(StatusCode::kInvalidArgument,
+                              "device not failed+replaced"));
         return;
     }
 
@@ -64,16 +62,9 @@ MdVolume::resync_device(uint32_t dev,
             loop_->now());
     }
 
-    // Online resync: a configured rate caps resync traffic so degraded
-    // foreground service keeps its floor (adaptive mode additionally
-    // backs off when the foreground write EWMA rises).
-    throttle_.reset();
-    if (lifecycle_.throttle.rate_sectors_per_sec > 0) {
-        throttle_ =
-            std::make_unique<RebuildThrottle>(loop_, lifecycle_.throttle);
-        throttle_->set_baseline_latency(fg_write_ewma_ns_);
-    }
-    resyncing_ = true;
+    // Online resync: the array's rebuild pacer caps resync traffic so
+    // degraded foreground service keeps its floor.
+    pacer_begin();
 
     auto pump = std::make_shared<std::function<void()>>();
     *pump = [this, job, pump]() {
@@ -81,22 +72,8 @@ MdVolume::resync_device(uint32_t dev,
             return;
         while (job->next_issue < job->nchunks &&
                job->inflight < ResyncJob::kWindow) {
-            if (throttle_ != nullptr &&
-                !throttle_->try_acquire(cfg_.chunk_sectors)) {
-                stats_.resync_throttle_stalls++;
-                if (!job->throttle_armed) {
-                    job->throttle_armed = true;
-                    loop_->schedule_after(
-                        throttle_->ns_until(cfg_.chunk_sectors),
-                        [pump, job, alive = alive_] {
-                            if (!*alive)
-                                return;
-                            job->throttle_armed = false;
-                            (*pump)();
-                        });
-                }
+            if (!pacer_admit(cfg_.chunk_sectors, [pump] { (*pump)(); }))
                 break;
-            }
             uint64_t stripe = job->next_issue++;
             job->inflight++;
             int pos = data_pos_of_dev(stripe, job->dev);
@@ -139,8 +116,7 @@ MdVolume::resync_device(uint32_t dev,
                             !job->finished) {
                             job->finished = true;
                             failed_dev_ = -1;
-                            resyncing_ = false;
-                            throttle_.reset();
+                            pacer_end();
                             if (trace_ != nullptr &&
                                 job->total_token != 0) {
                                 trace_->end_span(job->total_token,

@@ -50,7 +50,6 @@ class StripeCache
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
     size_t size() const { return map_.size(); }
-    uint64_t capacity_stripes() const { return capacity_stripes_; }
 
   private:
     void touch(uint64_t stripe);

@@ -66,11 +66,6 @@ class Layout
     {
         return static_cast<uint64_t>(zone) * logical_zone_cap_;
     }
-    /// Stripe index within the zone for a logical zone offset.
-    uint64_t stripe_of_offset(uint64_t zone_off) const
-    {
-        return zone_off / stripe_sectors_;
-    }
 
     /// Device holding the parity stripe unit of (zone, stripe).
     uint32_t parity_dev(uint32_t zone, uint64_t stripe) const;

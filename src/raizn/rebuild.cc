@@ -20,9 +20,10 @@
  * model persists the whole zone, so a checkpointed zone is durable by
  * construction.
  *
- * Rebuild traffic optionally flows through a token-bucket throttle so
- * degraded foreground service keeps a configurable share of the
- * array; see raizn/throttle.h.
+ * Rebuild traffic flows through the array's rebuild pacer (a token
+ * bucket when LifecycleConfig::throttle sets a rate) so degraded
+ * foreground service keeps a configurable share of the array; see
+ * array/throttle.h.
  */
 #include <algorithm>
 #include <cassert>
@@ -36,12 +37,6 @@
 namespace raizn {
 
 namespace {
-
-uint64_t
-zs_key(uint32_t zone, uint64_t stripe)
-{
-    return (static_cast<uint64_t>(zone) << 32) | stripe;
-}
 
 struct RebuildJob {
     uint32_t dev = 0;
@@ -63,8 +58,6 @@ struct RebuildJob {
     /// Last stripe index with a non-empty unit on the target: its
     /// write carries FUA so the whole zone is durable on completion.
     uint64_t last_data_stripe = 0;
-    /// A throttle wake-up is already scheduled.
-    bool throttle_armed = false;
 
     // Trace correlation (0 = tracing detached).
     uint64_t trace_req = 0;   ///< request id shared by every sub-span
@@ -92,32 +85,14 @@ RaiznVolume::rewrite_replicated_md(uint32_t dev)
     MdAppend sb_app;
     sb_app.header.type = MdType::kSuperblock;
     sb_app.inline_data = copy.encode();
-    bool done = false;
-    Status out;
-    md_->append(dev, MdZoneRole::kGeneral, std::move(sb_app), true,
-                [&](Status s) {
-                    out = s;
-                    done = true;
-                });
-    loop_->run_until_pred([&] { return done; });
-    if (!out)
-        return out;
-
-    for (uint32_t b = 0; b < gen_.num_blocks(); ++b) {
+    st = md_append_sync(dev, std::move(sb_app));
+    for (uint32_t b = 0; st.is_ok() && b < gen_.num_blocks(); ++b) {
         MdAppend app;
         app.header = gen_.block_header(b, gen_update_seq_++);
         app.inline_data = gen_.encode_block(b);
-        done = false;
-        md_->append(dev, MdZoneRole::kGeneral, std::move(app), true,
-                    [&](Status s) {
-                        out = s;
-                        done = true;
-                    });
-        loop_->run_until_pred([&] { return done; });
-        if (!out)
-            return out;
+        st = md_append_sync(dev, std::move(app));
     }
-    return Status::ok();
+    return st;
 }
 
 std::vector<uint8_t>
@@ -217,19 +192,10 @@ RaiznVolume::relog_tail_pp(uint32_t dev, uint32_t zone)
     uint64_t stripe = fill / layout_->stripe_sectors();
     if (layout_->parity_dev(zone, stripe) != dev)
         return;
-    auto it = pp_index_.find(zs_key(zone, stripe));
-    if (it == pp_index_.end() || it->second.empty())
-        return;
-    std::vector<uint8_t> parity(
-        static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
     uint64_t end = 0;
-    for (const PpRecord &rec : it->second) {
-        end = std::max(end, rec.end_lba);
-        if (!rec.delta.empty()) {
-            xor_bytes(parity.data() + rec.lo_sector * kSectorSize,
-                      rec.delta.data(), rec.delta.size());
-        }
-    }
+    std::vector<uint8_t> parity = folded_partial_parity(zone, stripe, &end);
+    if (end == 0)
+        return;
     uint64_t sectors = std::min<uint64_t>(cfg_.su_sectors, in_stripe);
     parity.resize(sectors * kSectorSize);
     MdAppend app = make_pp_append(
@@ -259,10 +225,9 @@ void
 RaiznVolume::resume_rebuild(ProgressCb progress, StatusCb done)
 {
     if (pending_rebuild_dev_ < 0) {
-        loop_->schedule_after(1, [done = std::move(done)] {
-            done(Status(StatusCode::kInvalidArgument,
-                        "no checkpointed rebuild to resume"));
-        });
+        complete_later(std::move(done),
+                       Status(StatusCode::kInvalidArgument,
+                              "no checkpointed rebuild to resume"));
         return;
     }
     uint32_t dev = static_cast<uint32_t>(pending_rebuild_dev_);
@@ -276,10 +241,9 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
                                      ProgressCb progress, StatusCb done)
 {
     if (failed_dev_ != static_cast<int>(dev) || devs_[dev]->failed()) {
-        loop_->schedule_after(1, [done = std::move(done)] {
-            done(Status(StatusCode::kInvalidArgument,
-                        "device not failed+replaced"));
-        });
+        complete_later(std::move(done),
+                       Status(StatusCode::kInvalidArgument,
+                              "device not failed+replaced"));
         return;
     }
 
@@ -318,10 +282,8 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
                 rst.cause = obs::Cause::kRebuild;
                 auto r = dev_sync(dev, std::move(rst));
                 if (!r.status.is_ok()) {
-                    Status st = r.status;
-                    loop_->schedule_after(
-                        1, [done = std::move(done), st] { done(st); });
                     rebuilding_ = false;
+                    complete_later(std::move(done), r.status);
                     return;
                 }
             }
@@ -339,9 +301,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
     Status st = rewrite_replicated_md(dev);
     if (!st) {
         rebuilding_ = false;
-        loop_->schedule_after(1, [done = std::move(done), st] {
-            done(st);
-        });
+        complete_later(std::move(done), st);
         return;
     }
 
@@ -374,15 +334,9 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
         }
     }
 
-    // Throttled rebuild: rate-limit reconstruction traffic so degraded
-    // foreground service keeps headroom. Baseline latency is the
-    // foreground write EWMA observed before the rebuild load starts.
-    throttle_.reset();
-    if (lifecycle_.throttle.rate_sectors_per_sec > 0) {
-        throttle_ = std::make_unique<RebuildThrottle>(
-            loop_, lifecycle_.throttle);
-        throttle_->set_baseline_latency(fg_write_ewma_ns_);
-    }
+    // Pacing starts once the synchronous set-up is done, so the
+    // baseline is the foreground latency seen before rebuild load.
+    pacer_begin();
 
     auto job = std::make_shared<RebuildJob>();
     job->dev = dev;
@@ -406,9 +360,13 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
             job->zone_order.push_back(z);
     }
 
-    // Kick off the per-zone pipeline.
+    // Kick off the per-zone pipeline. The pump refers to itself only
+    // weakly: its pending IO callbacks and wake-ups own it, so a volume
+    // torn down mid-rebuild (power cut) frees it with them.
     auto pump = std::make_shared<
         std::function<void(std::shared_ptr<RebuildJob>)>>();
+    std::weak_ptr<std::function<void(std::shared_ptr<RebuildJob>)>> self =
+        pump;
     auto finished = std::make_shared<bool>(false);
     auto finish_job = [this, finished](std::shared_ptr<RebuildJob> job) {
         if (*finished)
@@ -416,7 +374,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
         *finished = true;
         rebuilding_ = false;
         failed_dev_ = -1;
-        throttle_.reset();
+        pacer_end();
         // Relocations and burned ranges on the rebuilt device are
         // folded into the reconstructed data.
         std::vector<uint64_t> drop;
@@ -437,7 +395,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
         done(job->status);
     };
 
-    auto complete_zone = [this, pump,
+    auto complete_zone = [this, self,
                           finish_job](std::shared_ptr<RebuildJob> job) {
         LZone &lz = zones_[job->zone];
         if (trace_ != nullptr && job->zone_token != 0) {
@@ -458,16 +416,17 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
             job->progress(job->zone_i + 1, job->zone_order.size());
         job->zone_i++;
         job->zone_active = false;
-        (*pump)(job);
+        (*self.lock())(job);
     };
 
-    *pump = [this, pump, complete_zone,
+    *pump = [this, self, complete_zone,
              finish_job](std::shared_ptr<RebuildJob> job) {
+        // Called only through an owner, so the lock succeeds.
+        auto pump = self.lock();
         if (!job->zone_active) {
             if (job->zone_i >= job->zone_order.size()) {
                 finish_job(job);
-                // Break the pump's self-reference cycle; any late
-                // completion lands on a no-op.
+                // Any late completion lands on a no-op.
                 *pump = [](std::shared_ptr<RebuildJob>) {};
                 return;
             }
@@ -525,21 +484,8 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
                 job->ready[s] = {true, {}};
                 continue;
             }
-            if (throttle_ != nullptr && !throttle_->try_acquire(len)) {
-                stats_.rebuild_throttle_stalls++;
-                if (!job->throttle_armed) {
-                    job->throttle_armed = true;
-                    loop_->schedule_after(
-                        throttle_->ns_until(len),
-                        [pump, job, alive = alive_] {
-                            if (!*alive)
-                                return;
-                            job->throttle_armed = false;
-                            (*pump)(job);
-                        });
-                }
+            if (!pacer_admit(len, [pump, job] { (*pump)(job); }))
                 break;
-            }
             job->next_issue++;
             int pos = layout_->data_pos_of_dev(job->zone, s, job->dev);
             job->ready[s] = {false, {}};

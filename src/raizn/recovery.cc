@@ -590,25 +590,6 @@ RaiznVolume::repair_or_remap(uint32_t zone, std::vector<uint64_t> written)
         return e;
     };
 
-    // Cumulative partial parity for a stripe, from the replayed index.
-    auto partial_parity_for = [&](uint64_t stripe, uint64_t *cov_end)
-        -> std::vector<uint8_t> {
-        std::vector<uint8_t> parity(static_cast<size_t>(su) * kSectorSize,
-                                    0);
-        *cov_end = 0;
-        auto it = pp_index_.find(zs_key(zone, stripe));
-        if (it == pp_index_.end())
-            return parity;
-        for (const PpRecord &rec : it->second) {
-            *cov_end = std::max(*cov_end, rec.end_lba);
-            if (!rec.delta.empty()) {
-                xor_bytes(parity.data() + rec.lo_sector * kSectorSize,
-                          rec.delta.data(), rec.delta.size());
-            }
-        }
-        return parity;
-    };
-
     // Walk stripes covered by L and repair holes in place while
     // possible. F tracks the first unrecoverable logical offset.
     uint64_t F = L;
@@ -701,7 +682,7 @@ RaiznVolume::repair_or_remap(uint32_t zone, std::vector<uint64_t> written)
             std::vector<uint8_t> pparity;
             bool pp_usable = false;
             {
-                pparity = partial_parity_for(s, &cov_end);
+                pparity = folded_partial_parity(zone, s, &cov_end);
                 uint64_t stripe_start_lba =
                     lz.start + s * ss;
                 // Coverage must reach the end of every missing piece's
@@ -1060,15 +1041,7 @@ RaiznVolume::rebuild_physical_zone(uint32_t dev, uint32_t zone,
         app.header.generation = gen_.get(zone);
         app.inline_data = encode_zone_rebuild(
             {zone, dev, phase, swap_idx, image});
-        Status out;
-        bool done = false;
-        md_->append(dev, MdZoneRole::kGeneral, std::move(app), true,
-                    [&](Status s) {
-                        out = s;
-                        done = true;
-                    });
-        loop_->run_until_pred([&] { return done; });
-        return out;
+        return md_append_sync(dev, std::move(app));
     };
 
     uint32_t swap_idx = 0;

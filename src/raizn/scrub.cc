@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "raizn/stripe_buffer.h"
@@ -150,13 +149,8 @@ RaiznVolume::scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
             // corruption here is localisable.
             for (uint32_t k = 0; k < D; ++k) {
                 uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
-                bool missing = lz.crc_valid.empty();
-                if (!missing) {
-                    for (uint32_t s = 0; s < su; ++s)
-                        missing |= !lz.crc_valid[off + s];
-                }
-                if (missing)
-                    note_written_crcs(zone, off, ctx->units[k], su);
+                if (lz.crc.covered(off, su) < su)
+                    lz.crc.note(off, ctx->units[k].data(), su);
             }
             auto d = std::move(ctx->done);
             d();
@@ -164,29 +158,15 @@ RaiznVolume::scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
         }
         rep->parity_mismatches++;
         // Localise the corruption with the CRC catalog.
-        bool have_catalog = !lz.crc_valid.empty();
         std::vector<uint32_t> bad;
         uint64_t covered = 0;
-        if (have_catalog) {
-            for (uint32_t k = 0; k < D; ++k) {
-                uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
-                bool unit_bad = false;
-                for (uint32_t s = 0; s < su; ++s) {
-                    if (!lz.crc_valid[off + s])
-                        continue;
-                    covered++;
-                    uint32_t c = crc32c(
-                        ctx->units[k].data() +
-                            static_cast<size_t>(s) * kSectorSize,
-                        kSectorSize);
-                    if (c != lz.crcs[off + s])
-                        unit_bad = true;
-                }
-                if (unit_bad)
-                    bad.push_back(k);
-            }
+        for (uint32_t k = 0; k < D; ++k) {
+            uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
+            covered += lz.crc.covered(off, su);
+            if (!lz.crc.range_ok(off, ctx->units[k].data(), su))
+                bad.push_back(k);
         }
-        if (!have_catalog || covered == 0) {
+        if (covered == 0) {
             // No checksums to localise with: the mismatch is real but
             // the corrupt side is unknown.
             rep->unrecoverable++;
@@ -204,17 +184,7 @@ RaiznVolume::scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
                     xor_bytes(rec.data(), ctx->units[j].data(), unit_bytes);
             }
             uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
-            bool ok = true;
-            for (uint32_t s = 0; s < su; ++s) {
-                if (!lz.crc_valid[off + s])
-                    continue;
-                uint32_t c = crc32c(rec.data() +
-                                        static_cast<size_t>(s) * kSectorSize,
-                                    kSectorSize);
-                if (c != lz.crcs[off + s])
-                    ok = false;
-            }
-            if (ok) {
+            if (lz.crc.range_ok(off, rec.data(), su)) {
                 scrub_repair_unit(zone, stripe, k, std::move(rec));
                 rep->repaired_units++;
             } else {
@@ -299,7 +269,7 @@ RaiznVolume::scrub_repair_unit(uint32_t zone, uint64_t stripe, uint32_t k,
         static_cast<uint64_t>(k) * su;
 
     // Refresh the catalog for the repaired range.
-    note_written_crcs(zone, lba - zones_[zone].start, data, su);
+    zones_[zone].crc.note(lba - zones_[zone].start, data.data(), su);
 
     MdAppend app;
     app.header.type = MdType::kRelocatedSu;

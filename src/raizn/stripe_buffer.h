@@ -15,21 +15,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "array/parity.h"
 #include "common/units.h"
 
 namespace raizn {
-
-/// XOR `n` bytes of `src` into `dst`.
-void xor_bytes(uint8_t *dst, const uint8_t *src, size_t n);
-
-/**
- * Affected parity byte range [lo, hi) for a write covering stripe
- * offsets [s, e) (in sectors, within one stripe of D stripe units of
- * `su` sectors each). Single-SU writes touch only their intra-SU
- * slice; multi-SU writes touch the whole unit width.
- */
-void parity_byte_range(uint64_t s, uint64_t e, uint32_t su_sectors,
-                       uint64_t *lo, uint64_t *hi);
 
 class StripeBuffer
 {

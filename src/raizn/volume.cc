@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -34,7 +33,11 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
                          const RaiznConfig &cfg)
     : ZonedArray(loop, std::move(devs),
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
-                           &stats_.dev_errors, &stats_.spares_promoted}),
+                           &stats_.dev_errors, &stats_.spares_promoted,
+                           &stats_.auto_failovers,
+                           &stats_.rebuild_throttle_stalls,
+                           &stats_.health_suspects,
+                           &stats_.fail_slow_detected}),
       cfg_(cfg)
 {
     layout_ = std::make_unique<Layout>(cfg_, devs_[0]->geometry());
@@ -51,6 +54,7 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
         zones_[z].start = layout_->zone_start_lba(z);
         zones_[z].cap_end = zones_[z].start + layout_->logical_zone_cap();
         zones_[z].wp = zones_[z].start;
+        zones_[z].crc = SectorCrcCatalog(layout_->logical_zone_cap());
     }
     // The general and parity-log metadata zones on each device stay
     // open, and metadata GC transiently opens one more; expose the rest.
@@ -145,52 +149,6 @@ RaiznVolume::install_timeline(obs::Timeline *tl)
     });
 }
 
-void
-RaiznVolume::note_written_crcs(uint32_t zone, uint64_t off,
-                               const std::vector<uint8_t> &data,
-                               uint32_t nsectors)
-{
-    if (!store_data_)
-        return;
-    LZone &lz = zones_[zone];
-    if (lz.crcs.empty()) {
-        lz.crcs.assign(layout_->logical_zone_cap(), 0);
-        lz.crc_valid.assign(layout_->logical_zone_cap(), false);
-    }
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        if (data.empty()) {
-            lz.crc_valid[off + i] = false;
-            continue;
-        }
-        lz.crcs[off + i] = crc32c(
-            data.data() + static_cast<size_t>(i) * kSectorSize,
-            kSectorSize);
-        lz.crc_valid[off + i] = true;
-    }
-}
-
-bool
-RaiznVolume::crc_range_ok(uint64_t lba, const uint8_t *bytes,
-                          uint32_t nsectors) const
-{
-    if (!store_data_ || bytes == nullptr)
-        return true;
-    uint32_t zone = layout_->zone_of(lba);
-    const LZone &lz = zones_[zone];
-    if (lz.crc_valid.empty())
-        return true;
-    uint64_t off = lba - lz.start;
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        if (off + i >= lz.crc_valid.size() || !lz.crc_valid[off + i])
-            continue;
-        if (crc32c(bytes + static_cast<size_t>(i) * kSectorSize,
-                   kSectorSize) != lz.crcs[off + i]) {
-            return false;
-        }
-    }
-    return true;
-}
-
 std::string
 VolumeStats::dump() const
 {
@@ -201,6 +159,20 @@ IoResult
 RaiznVolume::dev_sync(uint32_t dev, IoRequest req)
 {
     return submit_sync(*loop_, *devs_[dev], std::move(req));
+}
+
+Status
+RaiznVolume::md_append_sync(uint32_t dev, MdAppend app)
+{
+    Status out;
+    bool done = false;
+    md_->append(dev, MdZoneRole::kGeneral, std::move(app), /*durable=*/true,
+                [&](Status s) {
+                    out = s;
+                    done = true;
+                });
+    loop_->run_until_pred([&] { return done; });
+    return out;
 }
 
 bool
@@ -425,7 +397,10 @@ RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
     stats_.sectors_written += nsectors;
     if (flags.fua)
         stats_.fua_writes++;
-    note_written_crcs(zone, lba - lz.start, data, nsectors);
+    if (store_data_ && data.empty())
+        lz.crc.invalidate(lba - lz.start, nsectors); // timing-only write
+    else if (store_data_)
+        lz.crc.note(lba - lz.start, data.data(), nsectors);
 
     auto ctx = std::make_shared<WriteCtx>();
     ctx->flags = flags;
@@ -623,6 +598,27 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
                });
 }
 
+std::vector<uint8_t>
+RaiznVolume::folded_partial_parity(uint32_t zone, uint64_t stripe,
+                                   uint64_t *end_lba) const
+{
+    std::vector<uint8_t> parity(
+        static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
+    uint64_t end = 0;
+    auto it = pp_index_.find(zs_key(zone, stripe));
+    if (it != pp_index_.end()) {
+        for (const PpRecord &rec : it->second) {
+            end = std::max(end, rec.end_lba);
+            if (!rec.delta.empty())
+                xor_bytes(parity.data() + rec.lo_sector * kSectorSize,
+                          rec.delta.data(), rec.delta.size());
+        }
+    }
+    if (end_lba != nullptr)
+        *end_lba = end;
+    return parity;
+}
+
 MdAppend
 RaiznVolume::make_pp_append(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
@@ -751,23 +747,10 @@ RaiznVolume::finish_write(std::shared_ptr<WriteCtx> ctx)
             zones_[ctx->zone].pbm.mark_persisted_upto(
                 ctx->end_lba - zones_[ctx->zone].start);
         }
-        if (trace_ != nullptr && ctx->total_token != 0) {
-            trace_->end_span(ctx->total_token, loop_->now());
-            ctx->total_token = 0;
-        }
-        uint64_t elapsed = loop_->now() - ctx->start_tick;
-        if (write_lat_ != nullptr)
-            write_lat_->record(elapsed);
-        if (ledger_ != nullptr && ctx->status.is_ok() &&
-            ctx->flags.origin == obs::Cause::kUserData)
-            ledger_->note_user_write(ctx->nsectors);
-        // Foreground write latency EWMA: the adaptive rebuild throttle
-        // compares this against the pre-rebuild baseline.
-        fg_write_ewma_ns_ = fg_write_ewma_ns_ == 0.0
-            ? static_cast<double>(elapsed)
-            : 0.2 * static_cast<double>(elapsed) + 0.8 * fg_write_ewma_ns_;
-        if (throttle_ != nullptr && rebuilding_)
-            throttle_->observe_foreground_latency(elapsed);
+        const bool user = ctx->status.is_ok() &&
+            ctx->flags.origin == obs::Cause::kUserData;
+        note_write_ack(ctx->start_tick, ctx->total_token,
+                       user ? ctx->nsectors : 0);
         auto cb = std::move(ctx->cb);
         cb(std::move(r));
         return;
@@ -938,8 +921,7 @@ RaiznVolume::reset_zone(uint32_t zone, IoCallback cb)
             lz.cond = raizn::ZoneState::kEmpty;
             lz.wp = lz.start;
             lz.pbm.clear();
-            lz.crcs.clear();
-            lz.crc_valid.clear();
+            lz.crc.clear();
             lz.buffers.clear();
             lz.has_reloc = false;
             reloc_.drop_zone(lz.start, lz.cap_end);
@@ -1163,28 +1145,17 @@ RaiznVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     }
     stats_.logical_reads++;
     stats_.sectors_read += nsectors;
-    if (ledger_ != nullptr) {
-        cb = [this, nsectors, inner = std::move(cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_read(nsectors);
-            inner(std::move(r));
-        };
-    }
     uint64_t treq = 0;
-    if (trace_ != nullptr || read_lat_ != nullptr) {
+    if (trace_ != nullptr || read_lat_ != nullptr || ledger_ != nullptr) {
         uint64_t token = 0;
         if (trace_ != nullptr) {
             treq = trace_->next_request_id();
             token = trace_->begin_span("raizn.read", treq,
                                        obs::kTrackRequest, loop_->now());
         }
-        Tick t0 = loop_->now();
-        cb = [this, token, t0, inner = std::move(cb)](IoResult r) {
-            Tick now = loop_->now();
-            if (trace_ != nullptr && token != 0)
-                trace_->end_span(token, now);
-            if (read_lat_ != nullptr)
-                read_lat_->record(now - t0);
+        cb = [this, token, nsectors, t0 = loop_->now(),
+              inner = std::move(cb)](IoResult r) {
+            note_read_ack(t0, token, r.status.is_ok() ? nsectors : 0);
             inner(std::move(r));
         };
     }
@@ -1257,8 +1228,10 @@ RaiznVolume::read_fast(uint64_t lba, uint32_t nsectors, uint64_t treq,
                     complete_one(ext.lba, r.status, r.data);
                     return;
                 }
+                const LZone &ez = zones_[layout_->zone_of(ext.lba)];
                 if (!r.data.empty() &&
-                    !crc_range_ok(ext.lba, r.data.data(), ext.nsectors)) {
+                    !ez.crc.range_ok(ext.lba - ez.start, r.data.data(),
+                                     ext.nsectors)) {
                     // Silent corruption: the payload disagrees with the
                     // CRC catalog. Serve the read via reconstruction.
                     stats_.crc_mismatches++;
@@ -1419,9 +1392,10 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
                             complete_one(at, r.status, r.data);
                             return;
                         }
+                        const LZone &ez = zones_[layout_->zone_of(at)];
                         if (!r.data.empty() &&
-                            !crc_range_ok(at, r.data.data(),
-                                          sub.nsectors)) {
+                            !ez.crc.range_ok(at - ez.start, r.data.data(),
+                                             sub.nsectors)) {
                             stats_.crc_mismatches++;
                             read_extent_degraded(
                                 sub, [complete_one, at](
@@ -1648,17 +1622,9 @@ RaiznVolume::reconstruct_stripe_unit(
         } else {
             // Incomplete stripe: apply the cumulative partial parity
             // from the in-memory index (§5.1).
-            auto it = pp_index_.find(zs_key(zone, stripe));
-            if (it != pp_index_.end() && store_data_) {
-                std::vector<uint8_t> parity(
-                    static_cast<size_t>(su) * kSectorSize, 0);
-                for (const PpRecord &rec : it->second) {
-                    if (rec.delta.empty())
-                        continue;
-                    xor_bytes(parity.data() +
-                                  rec.lo_sector * kSectorSize,
-                              rec.delta.data(), rec.delta.size());
-                }
+            if (store_data_ && pp_index_.count(zs_key(zone, stripe))) {
+                std::vector<uint8_t> parity =
+                    folded_partial_parity(zone, stripe);
                 ctx->pending++;
                 std::vector<uint8_t> d(
                     parity.begin() +
@@ -1714,72 +1680,10 @@ RaiznVolume::mark_device_failed(uint32_t dev)
 }
 
 void
-RaiznVolume::on_health_event(uint32_t dev, HealthEvent ev)
-{
-    switch (ev) {
-    case HealthEvent::kSuspect:
-        stats_.health_suspects++;
-        LOG_INFO("device %u health: suspect", dev);
-        break;
-    case HealthEvent::kFailSlow:
-        stats_.fail_slow_detected++;
-        LOG_WARN("device %u health: fail-slow (latency EWMA far above "
-                 "peers)",
-                 dev);
-        break;
-    case HealthEvent::kFailed:
-        // The data path escalates through escalate_dev_error when a
-        // command actually fails; this edge catches evidence that
-        // accrued without a caller to observe it (e.g. metadata-path
-        // retries) so the failover never waits for the next IO.
-        if (failed_dev_ != static_cast<int>(dev))
-            mark_device_failed(dev);
-        break;
-    }
-}
-
-void
 RaiznVolume::promote_spare(uint32_t dev)
 {
-    promote_spare_base(dev);
+    ZonedArray::promote_spare(dev);
     md_->replace_device(dev, devs_[dev]);
-    LOG_INFO("hot spare promoted into slot %u", dev);
-}
-
-void
-RaiznVolume::maybe_start_auto_rebuild(uint32_t dev)
-{
-    if (!lifecycle_.auto_rebuild || spare_ == nullptr || read_only_ ||
-        failed_dev_ != static_cast<int>(dev)) {
-        return;
-    }
-    if (spare_->failed() ||
-        spare_->geometry().nzones != devs_[dev]->geometry().nzones) {
-        LOG_ERROR("hot spare unusable; staying degraded");
-        return;
-    }
-    stats_.auto_failovers++;
-    // Defer off the error path: mark_device_failed can run deep inside
-    // a sub-IO completion and the rebuild rewrites metadata
-    // synchronously.
-    loop_->schedule_after(1, [this, dev, alive = alive_] {
-        if (!*alive || failed_dev_ != static_cast<int>(dev))
-            return;
-        promote_spare(dev);
-        auto on_done = lifecycle_.on_rebuild_done;
-        rebuild_device(dev, nullptr, [this, dev, on_done,
-                                      alive = alive_](Status s) {
-            if (!*alive)
-                return;
-            if (s.is_ok())
-                LOG_INFO("automatic rebuild of slot %u complete", dev);
-            else
-                LOG_ERROR("automatic rebuild of slot %u failed: %s", dev,
-                          s.to_string().c_str());
-            if (on_done)
-                on_done(dev, s);
-        });
-    });
 }
 
 // ---- Metadata GC snapshots ---------------------------------------------

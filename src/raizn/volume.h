@@ -31,7 +31,6 @@
 #include "raizn/relocation.h"
 #include "raizn/stripe_buffer.h"
 #include "raizn/superblock.h"
-#include "raizn/throttle.h"
 #include "zns/block_device.h"
 
 namespace raizn {
@@ -188,22 +187,9 @@ class RaiznVolume : public ZonedArray
     void finish_zone(uint32_t zone, IoCallback cb) override;
 
     // ---- Failure lifecycle -----------------------------------------
-    /**
-     * Policy for the automatic failure lifecycle: when the health
-     * monitor fails a device and a hot spare is attached, the volume
-     * promotes the spare and rebuilds it in the background with no
-     * caller intervention (healthy -> suspect -> failed -> rebuilding
-     * -> healthy). Throttle settings bound the rebuild's impact on
-     * degraded foreground service.
-     */
-    struct LifecycleConfig {
-        bool auto_rebuild = true; ///< promote + rebuild on failure
-        RebuildThrottleConfig throttle;
-        /// Fired when an automatic rebuild finishes (or fails).
-        std::function<void(uint32_t dev, Status s)> on_rebuild_done;
-    };
-    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
-    const LifecycleConfig &lifecycle() const { return lifecycle_; }
+    // set_spare / set_lifecycle (inherited from ZonedArray) drive the
+    // automatic failover; RAIZN adds the checkpointed, resumable
+    // rebuild below.
 
     /**
      * True when mount found a durable rebuild checkpoint with state
@@ -219,12 +205,6 @@ class RaiznVolume : public ZonedArray
      * device's write pointers and skipped; everything else is rebuilt.
      */
     void resume_rebuild(ProgressCb progress, StatusCb done);
-
-    /// Live rebuild rate view (null when no throttled rebuild runs).
-    const RebuildThrottle *rebuild_throttle() const
-    {
-        return throttle_.get();
-    }
 
     // ---- Scrubbing -------------------------------------------------
     /**
@@ -390,7 +370,6 @@ class RaiznVolume : public ZonedArray
     Status persist_superblocks();
 
     // rebuild.cc
-    Status rebuild_zone_sync(uint32_t dev, uint32_t zone);
     Status rewrite_replicated_md(uint32_t dev);
     void rebuild_device_internal(uint32_t dev, bool resume,
                                  ProgressCb progress, StatusCb done);
@@ -410,10 +389,12 @@ class RaiznVolume : public ZonedArray
     uint64_t expected_phys_fill(uint32_t dev, uint32_t zone) const;
     /// Promotes the attached spare into slot `dev` (device table, md
     /// manager, health history). The old pointer is abandoned.
-    void promote_spare(uint32_t dev);
-    /// Health-monitor escalation edges land here.
-    void on_health_event(uint32_t dev, HealthEvent ev) override;
-    void maybe_start_auto_rebuild(uint32_t dev);
+    void promote_spare(uint32_t dev) override;
+    /// A read-only volume (two failures) never fails over.
+    bool failover_ready(uint32_t dev) const override
+    {
+        return !read_only_ && failed_dev_ == static_cast<int>(dev);
+    }
 
     // scrub.cc
     void scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
@@ -437,26 +418,25 @@ class RaiznVolume : public ZonedArray
     {
         return devs_[dev]->failed() || static_cast<int>(dev) == failed_dev_;
     }
+    /// Cumulative partial parity of (zone, stripe): its indexed pp
+    /// deltas XOR-ed into one stripe unit. `end_lba` gets the furthest
+    /// logical LBA the records cover (0 when there are none).
+    std::vector<uint8_t> folded_partial_parity(uint32_t zone,
+                                               uint64_t stripe,
+                                               uint64_t *end_lba =
+                                                   nullptr) const;
     MdAppend make_pp_append(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
                             uint64_t lo_sector,
                             std::vector<uint8_t> delta) const;
     std::vector<MdAppend> snapshot_for_gc(uint32_t dev, MdZoneRole role);
-    bool data_mode_store() const { return store_data_; }
     IoResult dev_sync(uint32_t dev, IoRequest req);
+    /// Durable append to `dev`'s general metadata log, driving the loop
+    /// until it completes.
+    Status md_append_sync(uint32_t dev, MdAppend app);
     // dev_submit / escalate_dev_error are inherited from ZonedArray:
     // the data path routes through the retrier/watchdog; recovery,
     // rebuild, and metadata appends keep their direct paths.
-    /// Records per-sector CRCs for a logical write (`off` is the zone-
-    /// relative sector offset); empty data invalidates the range.
-    void note_written_crcs(uint32_t zone, uint64_t off,
-                           const std::vector<uint8_t> &data,
-                           uint32_t nsectors);
-    /// Verifies `nsectors` of payload read at logical `lba` against
-    /// the CRC catalog; sectors without a recorded CRC pass.
-    bool crc_range_ok(uint64_t lba, const uint8_t *bytes,
-                      uint32_t nsectors) const;
-
     // ZonedArray hooks.
     std::string metric_prefix() const override { return "raizn"; }
     /// Historical namespace: per-device metrics predate the interface.
@@ -498,13 +478,10 @@ class RaiznVolume : public ZonedArray
     bool rebuilding_ = false;
     std::vector<bool> zone_rebuilt_; ///< during rebuild_device
 
-    // Failure lifecycle. (The spare and the resilience/observability
-    // layers live in ZonedArray.)
-    LifecycleConfig lifecycle_;
-    std::unique_ptr<RebuildThrottle> throttle_;
+    // Checkpointed rebuild. (The spare, the lifecycle policy and the
+    // rebuild pacer live in ZonedArray.)
     int pending_rebuild_dev_ = -1; ///< from a mount-time checkpoint
     std::vector<bool> ckpt_rebuilt_; ///< checkpointed zone bitmap
-    double fg_write_ewma_ns_ = 0.0; ///< foreground write latency EWMA
 
     // Background scrubber state.
     bool scrub_running_ = false;

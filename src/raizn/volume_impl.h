@@ -7,6 +7,7 @@
 
 #include <deque>
 
+#include "array/crc_catalog.h"
 #include "raizn/volume.h"
 
 namespace raizn {
@@ -25,8 +26,7 @@ struct RaiznVolume::LZone {
     std::deque<std::function<void()>> waiters;
     /// Per-sector CRC32C catalog of the logical payload (data mode
     /// only; empty after a remount until the scrubber repopulates it).
-    std::vector<uint32_t> crcs;
-    std::vector<bool> crc_valid;
+    SectorCrcCatalog crc;
 
     uint64_t written() const { return wp - start; }
 };

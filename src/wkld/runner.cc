@@ -65,7 +65,7 @@ WorkloadRunner::run(const std::vector<JobSpec> &jobs, Sampler *sampler)
                 job.stopped = true;
                 break;
             }
-            uint64_t lba;
+            uint64_t lba = 0;
             switch (s.mode) {
               case RwMode::kSeqWrite:
               case RwMode::kSeqRead:

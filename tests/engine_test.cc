@@ -678,7 +678,6 @@ TEST(EngineRebuild, SpareLifecycleAutoFailover)
     bool rebuilt = false;
     Status rs;
     ZonedEngine::LifecycleConfig lc;
-    lc.auto_rebuild = true;
     lc.on_rebuild_done = [&](uint32_t dev, Status st) {
         EXPECT_EQ(2u, dev);
         rs = st;

@@ -2,17 +2,86 @@
  * @file
  * Failure-lifecycle tests: health-driven automatic failover onto a hot
  * spare, crash-resumable checkpointed rebuild, token-bucket rebuild
- * throttling, and the mdraid auto-resync parity path.
+ * throttling, and the mdraid auto-resync parity path. The spare check
+ * and the rebuild pacer live in ZonedArray, so they are exercised on
+ * RAIZN, mdraid and a raid5 ZonedEngine alike.
  */
 #include <gtest/gtest.h>
 
+#include "array/engine.h"
+#include "array/throttle.h"
 #include "mdraid/md_volume.h"
-#include "raizn/throttle.h"
 #include "raizn_test_util.h"
 #include "zns/conv_device.h"
 
 namespace raizn {
 namespace {
+
+/// A 4-member raid5 ZonedEngine over data-storing ZNS devices.
+struct Raid5Array {
+    EventLoop loop;
+    std::vector<std::unique_ptr<ZnsDevice>> devs;
+    std::unique_ptr<ZonedEngine> eng;
+
+    static ZnsDeviceConfig
+    device_config(uint32_t nzones = 5)
+    {
+        return TestArray::device_config(nzones, 64);
+    }
+
+    Raid5Array()
+    {
+        std::vector<BlockDevice *> ptrs;
+        for (int i = 0; i < 4; ++i) {
+            devs.push_back(
+                std::make_unique<ZnsDevice>(&loop, device_config()));
+            ptrs.push_back(devs.back().get());
+        }
+        EngineConfig cfg;
+        cfg.mode = RaidMode::kRaid5;
+        cfg.su_sectors = 4;
+        auto res = ZonedEngine::create(&loop, ptrs, cfg);
+        EXPECT_TRUE(res.is_ok()) << res.status().to_string();
+        if (res.is_ok())
+            eng = std::move(res).value();
+    }
+
+    void
+    write_pattern(uint64_t lba, uint32_t nsectors, uint64_t seed)
+    {
+        bool done = false;
+        eng->write(lba, pattern_data(nsectors, seed), WriteFlags{},
+                   [&](IoResult r) {
+                       EXPECT_TRUE(r.status.is_ok()) << r.status.to_string();
+                       done = true;
+                   });
+        loop.run_until_pred([&] { return done; });
+    }
+
+    Status
+    rebuild(uint32_t dev)
+    {
+        Status out;
+        bool done = false;
+        eng->rebuild_device(dev, nullptr, [&](Status s) {
+            out = s;
+            done = true;
+        });
+        loop.run_until_pred([&] { return done; });
+        return out;
+    }
+};
+
+/// Conventional members for the mdraid baseline.
+ConvDeviceConfig
+conv_config(const std::string &name, uint64_t bytes = 4 * kMiB)
+{
+    ConvDeviceConfig cfg;
+    cfg.nsectors = bytes / kSectorSize;
+    cfg.pages_per_block = 64;
+    cfg.name = name;
+    return cfg;
+}
 
 class LifecycleTest : public ::testing::Test
 {
@@ -94,6 +163,72 @@ TEST_F(LifecycleTest, NoSpareStaysDegraded)
     EXPECT_EQ(arr_.vol->stats().auto_failovers, 0u);
     EXPECT_EQ(arr_.vol->failed_device(), static_cast<int>(victim));
     arr_.expect_pattern(0, 64, 3);
+}
+
+TEST_F(LifecycleTest, UnusableSpareStaysDegraded)
+{
+    // One spare check for every engine: a failed spare, or a zoned
+    // spare whose geometry differs from the members' (fewer or more
+    // zones), is refused, so the array stays degraded and keeps the
+    // spare attached instead of promoting a device it cannot use.
+    for (bool bigger : {false, true}) {
+        SCOPED_TRACE(bigger ? "raizn, bigger spare" : "raizn, failed spare");
+        TestArray a;
+        a.make();
+        ZnsDeviceConfig dc = TestArray::device_config(bigger ? 9 : 8);
+        dc.name = "spare";
+        ZnsDevice spare(a.loop.get(), dc);
+        if (!bigger)
+            spare.fail();
+        a.vol->set_spare(&spare);
+        a.vol->mark_device_failed(1);
+        a.loop->run();
+        EXPECT_EQ(a.vol->failed_device(), 1);
+        EXPECT_TRUE(a.vol->has_spare());
+        EXPECT_EQ(a.vol->stats().auto_failovers, 0u);
+        EXPECT_EQ(a.vol->stats().spares_promoted, 0u);
+    }
+
+    {
+        EventLoop loop;
+        std::vector<std::unique_ptr<ConvDevice>> devs;
+        std::vector<BlockDevice *> ptrs;
+        for (int i = 0; i < 5; ++i) {
+            devs.push_back(std::make_unique<ConvDevice>(
+                &loop, conv_config("conv" + std::to_string(i))));
+            ptrs.push_back(devs.back().get());
+        }
+        ConvDevice md_spare(&loop, conv_config("spare"));
+        md_spare.fail();
+        MdVolume vol(&loop, ptrs, MdVolumeConfig{});
+        vol.set_spare(&md_spare);
+        vol.mark_device_failed(0);
+        loop.run();
+        EXPECT_EQ(vol.failed_device(), 0);
+        EXPECT_TRUE(vol.has_spare());
+        EXPECT_EQ(vol.stats().auto_failovers, 0u);
+        EXPECT_EQ(vol.stats().spares_promoted, 0u);
+    }
+
+    for (uint32_t spare_zones : {5u, 4u, 6u}) {
+        const bool failed = spare_zones == 5;
+        SCOPED_TRACE(failed ? "raid5, failed spare"
+                            : spare_zones < 5 ? "raid5, small spare"
+                                              : "raid5, bigger spare");
+        Raid5Array a;
+        a.write_pattern(0, 24, 70);
+        ZnsDevice eng_spare(&a.loop, Raid5Array::device_config(spare_zones));
+        if (failed)
+            eng_spare.fail();
+        a.eng->set_spare(&eng_spare);
+        a.eng->mark_device_failed(2);
+        a.loop.run();
+        EXPECT_TRUE(a.eng->degraded());
+        EXPECT_TRUE(a.eng->device_failed(2));
+        EXPECT_TRUE(a.eng->has_spare());
+        EXPECT_EQ(a.eng->stats().auto_failovers, 0u);
+        EXPECT_EQ(a.eng->stats().spares_promoted, 0u);
+    }
 }
 
 TEST_F(LifecycleTest, HealthCountersSurfaceInStats)
@@ -255,7 +390,13 @@ TEST_F(LifecycleTest, ThrottleAdaptiveBackoffAndRestore)
 
 TEST_F(LifecycleTest, ThrottledRebuildStallsAndTakesLonger)
 {
-    auto run_rebuild = [](uint64_t rate) {
+    struct Out {
+        Tick elapsed;
+        uint64_t stalls;
+    };
+    RaiznVolume::LifecycleConfig lc;
+    lc.throttle.burst_sectors = 32;
+    auto raizn_rebuild = [&lc](uint64_t rate) {
         TestArray a;
         a.make();
         a.write_pattern(0, 512, 9);
@@ -264,25 +405,43 @@ TEST_F(LifecycleTest, ThrottledRebuildStallsAndTakesLonger)
         uint32_t victim = 2;
         a.vol->mark_device_failed(victim);
         a.devs[victim]->replace();
-        RaiznVolume::LifecycleConfig lc;
         lc.throttle.rate_sectors_per_sec = rate;
-        lc.throttle.burst_sectors = 32;
         a.vol->set_lifecycle(lc);
         Tick start = a.loop->now();
         Status st = a.rebuild(victim);
         EXPECT_TRUE(st.is_ok()) << st.to_string();
-        struct Out {
-            Tick elapsed;
-            uint64_t stalls;
-        };
         return Out{a.loop->now() - start,
                    a.vol->stats().rebuild_throttle_stalls};
     };
-    auto fast = run_rebuild(0);
-    auto slow = run_rebuild(10000);
-    EXPECT_EQ(fast.stalls, 0u);
-    EXPECT_GT(slow.stalls, 0u);
-    EXPECT_GT(slow.elapsed, fast.elapsed);
+    // The generic engine's zone/stripe rebuild goes through the same
+    // pacer.
+    auto raid5_rebuild = [&lc](uint64_t rate) {
+        Raid5Array a;
+        a.write_pattern(0, 192, 9);
+        a.write_pattern(192, 120, 10);
+        uint32_t victim = 2;
+        a.eng->mark_device_failed(victim);
+        a.devs[victim]->replace();
+        lc.throttle.rate_sectors_per_sec = rate;
+        a.eng->set_lifecycle(lc);
+        Tick start = a.loop.now();
+        Status st = a.rebuild(victim);
+        EXPECT_TRUE(st.is_ok()) << st.to_string();
+        EXPECT_FALSE(a.eng->degraded());
+        return Out{a.loop.now() - start,
+                   a.eng->stats().rebuild_throttle_stalls};
+    };
+    for (bool raid5 : {false, true}) {
+        SCOPED_TRACE(raid5 ? "raid5" : "raizn");
+        auto run = [&](uint64_t rate) {
+            return raid5 ? raid5_rebuild(rate) : raizn_rebuild(rate);
+        };
+        auto fast = run(0);
+        auto slow = run(10000);
+        EXPECT_EQ(fast.stalls, 0u);
+        EXPECT_GT(slow.stalls, 0u);
+        EXPECT_GT(slow.elapsed, fast.elapsed);
+    }
 }
 
 TEST_F(LifecycleTest, MdVolumeAutoResyncPromotesSpare)
@@ -290,20 +449,13 @@ TEST_F(LifecycleTest, MdVolumeAutoResyncPromotesSpare)
     EventLoop loop;
     std::vector<std::unique_ptr<ConvDevice>> devs;
     std::vector<BlockDevice *> ptrs;
-    auto conv_cfg = [](const std::string &name) {
-        ConvDeviceConfig cfg;
-        cfg.nsectors = 4 * kMiB / kSectorSize;
-        cfg.pages_per_block = 64;
-        cfg.name = name;
-        return cfg;
-    };
     for (int i = 0; i < 5; ++i) {
         devs.push_back(std::make_unique<ConvDevice>(
-            &loop, conv_cfg("conv" + std::to_string(i))));
+            &loop, conv_config("conv" + std::to_string(i))));
         ptrs.push_back(devs.back().get());
     }
     auto spare =
-        std::make_unique<ConvDevice>(&loop, conv_cfg("spare"));
+        std::make_unique<ConvDevice>(&loop, conv_config("spare"));
     MdVolumeConfig mcfg;
     mcfg.chunk_sectors = 16;
     mcfg.stripe_cache_bytes = 128 * kKiB;
@@ -313,7 +465,7 @@ TEST_F(LifecycleTest, MdVolumeAutoResyncPromotesSpare)
     Status st;
     MdVolume::LifecycleConfig lc;
     lc.throttle.rate_sectors_per_sec = 0;
-    lc.on_resync_done = [&](uint32_t, Status s) {
+    lc.on_rebuild_done = [&](uint32_t, Status s) {
         st = s;
         done = true;
     };
@@ -350,18 +502,14 @@ TEST_F(LifecycleTest, MdVolumeThrottledResyncStalls)
     std::vector<std::unique_ptr<ConvDevice>> devs;
     std::vector<BlockDevice *> ptrs;
     for (int i = 0; i < 5; ++i) {
-        ConvDeviceConfig cfg;
-        cfg.nsectors = 2 * kMiB / kSectorSize;
-        cfg.pages_per_block = 64;
-        cfg.name = "conv" + std::to_string(i);
-        devs.push_back(std::make_unique<ConvDevice>(&loop, cfg));
+        devs.push_back(std::make_unique<ConvDevice>(
+            &loop, conv_config("conv" + std::to_string(i), 2 * kMiB)));
         ptrs.push_back(devs.back().get());
     }
     MdVolumeConfig mcfg;
     mcfg.chunk_sectors = 16;
     MdVolume vol(&loop, ptrs, mcfg);
     MdVolume::LifecycleConfig lc;
-    lc.auto_resync = false;
     lc.throttle.rate_sectors_per_sec = 100000;
     lc.throttle.burst_sectors = 64;
     vol.set_lifecycle(std::move(lc));

@@ -13,7 +13,6 @@
 #include "common/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "raizn/throttle.h"
 #include "raizn_test_util.h"
 
 namespace raizn::obs {
@@ -385,7 +384,6 @@ TEST(TraceRecorder, ThrottledRebuildSpansReachChromeExport)
     arr.flush();
 
     RaiznVolume::LifecycleConfig lc;
-    lc.auto_rebuild = false;
     lc.throttle.rate_sectors_per_sec = 100000;
     lc.throttle.burst_sectors = 32;
     arr.vol->set_lifecycle(std::move(lc));
